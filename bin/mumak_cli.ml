@@ -56,18 +56,14 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
          needs the abstract fixpoint to nominate them *)
       let absint = absint || prune in
       let strategy =
-        (* --static needs invariant-guided prioritization, which targets the
-           live re-execution loop; --absint/--prune and --jobs work under
-           replay (the default) or reexecute, so a snapshot request is
-           upgraded to replay when they are on *)
-        if static then Mumak.Config.Reexecute
-        else
-          match strategy_str with
-          | "replay" -> Mumak.Config.Replay
-          | "snapshot" ->
-              if absint || jobs > 1 then Mumak.Config.Replay else Mumak.Config.Snapshot
-          | "reexecute" -> Mumak.Config.Reexecute
-          | s -> usage_error "unknown strategy %s (replay | snapshot | reexecute)" s
+        (* --absint/--prune and --jobs work under replay (the default) or
+           reexecute, so a snapshot request is upgraded to replay when they
+           are on *)
+        match strategy_str with
+        | "replay" -> Mumak.Config.Replay
+        | "snapshot" -> if absint || jobs > 1 then Mumak.Config.Replay else Mumak.Config.Snapshot
+        | "reexecute" -> Mumak.Config.Reexecute
+        | s -> usage_error "unknown strategy %s (replay | snapshot | reexecute)" s
       in
       let config =
         {
@@ -78,7 +74,9 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
             (if store_level then Mumak.Config.Store_level
              else Mumak.Config.Persistency_instruction);
           static;
-          prioritize = static;
+          (* invariant-guided prioritization reorders the live
+             re-execution loop; the other strategies have no loop order *)
+          prioritize = static && strategy = Mumak.Config.Reexecute;
           jobs;
           (* --verify-fixes without --lint would verify static fixes only;
              implying lint keeps the CLI contract simple: verification always
@@ -178,10 +176,12 @@ let static_arg =
     & info [ "static" ]
         ~doc:
           "Run the offline persistency dependency-graph analyzer before fault \
-           injection: records whole traces, mines likely ordering/atomicity \
-           invariants, attaches fix suggestions to findings, and reorders the \
-           injection loop so statically-suspicious failure points are tried \
-           first. Implies --strategy reexecute.")
+           injection over the run's shared recordings (load-free and \
+           load-traced): mines likely ordering/atomicity invariants and \
+           attaches fix suggestions to findings. Costs one extra recording, \
+           never a re-execution. With --strategy reexecute it also reorders \
+           the injection loop so statically-suspicious failure points are \
+           tried first.")
 
 let lint_arg =
   Arg.(

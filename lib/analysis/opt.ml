@@ -536,24 +536,17 @@ let synthesize ?absint ~weights events =
   (* one plan per distinct edit ({!Fix.key}), best projection first; the
      absint proof breaks projection ties so machine-checked sites verify
      (and therefore ship) ahead of unproven ones *)
-  let plans =
-    List.fold_left
-      (fun (seen, acc) p ->
-        let k = Fix.key p.p_fix in
-        if List.mem k seen then (seen, acc) else (k :: seen, p :: acc))
-      ([], [])
-      (List.stable_sort
-         (fun a b ->
-           match compare b.p_projected_cycles a.p_projected_cycles with
-           | 0 -> (
-               match compare b.p_absint_safe a.p_absint_safe with
-               | 0 -> Fix.compare a.p_fix b.p_fix
-               | c -> c)
-           | c -> c)
-         plans)
-    |> snd |> List.rev
-  in
-  plans
+  Verify_fix.dedup
+    (fun p -> Fix.key p.p_fix)
+    (List.stable_sort
+       (fun a b ->
+         match compare b.p_projected_cycles a.p_projected_cycles with
+         | 0 -> (
+             match compare b.p_absint_safe a.p_absint_safe with
+             | 0 -> Fix.compare a.p_fix b.p_fix
+             | c -> c)
+         | c -> c)
+       plans)
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -571,7 +564,6 @@ let optimize ?invariants ?absint ?(max_plans = 12) ~weights ~support ~confidence
     (noload : Pmtrace.Replay.t) =
   Telemetry.Collector.span ~cat:"optimize" "optimize" @@ fun () ->
   let module VF = Verify_fix in
-  let replays = ref 0 in
   let base_events = Pmtrace.Replay.events noload in
   let baseline_cycles = Cost.trace_cycles weights base_events in
   let baseline_events = persist_count base_events in
@@ -582,70 +574,38 @@ let optimize ?invariants ?absint ?(max_plans = 12) ~weights ~support ~confidence
      load-free pair (the optimize phase never has a load-traced recording —
      it must not cost an execution), so the baseline uses the same pairing
      for the diff to be meaningful. *)
-  let base_static =
-    Static.analyze ?invariants ~support ~confidence ~eadr [ (base_events, base_events) ]
-  in
-  let invariants = base_static.Static.invariants in
-  let base_lint = Lint.analyze ~eadr base_events in
-  let base_prefix, base_image = VF.inject ~points ~oracle noload in
-  let base_adr, _ = VF.inject ~policy:Pmem.Device.Adr ~points ~oracle noload in
-  replays := 2;
-  let base_structural = VF.static_keys ~correctness_only:true base_static in
-  let base_missing = VF.lint_keys ~only:Lint.Missing_flush base_lint in
-  let fresh got base =
-    VF.Keys.elements (VF.Keys.diff got base) |> List.filter VF.attributable
+  let ck =
+    VF.checker ?invariants ~adr:true ~support ~confidence ~eadr ~oracle ~points noload
+      (base_events, base_events)
   in
   let judge plan =
-    match Pmtrace.Replay.rewrite noload plan.p_edits with
-    | exception Failure msg ->
-        {
-          b_plan = plan;
-          b_verdict = VF.Ineffective;
-          b_detail = msg;
-          b_measured_cycles = 0;
-          b_measured_events = 0;
-        }
-    | rewritten ->
-        let norm = Pmtrace.Replay.normalize rewritten in
-        let re_static =
-          Static.analyze ~invariants ~support ~confidence ~eadr [ (norm, norm) ]
-        in
-        let re_lint = Lint.analyze ~eadr norm in
-        let re_prefix, re_image = VF.inject ~points ~oracle rewritten in
-        let re_adr, _ = VF.inject ~policy:Pmem.Device.Adr ~points ~oracle rewritten in
-        replays := !replays + 3;
-        let measured_cycles = baseline_cycles - Cost.trace_cycles weights norm in
-        let measured_events = baseline_events - persist_count norm in
+    let bundle ?(cycles = 0) ?(events = 0) verdict detail =
+      {
+        b_plan = plan;
+        b_verdict = verdict;
+        b_detail = detail;
+        b_measured_cycles = cycles;
+        b_measured_events = events;
+      }
+    in
+    match VF.recheck ck noload plan.p_edits with
+    | Error msg -> bundle VF.Ineffective msg
+    | Ok r ->
+        let cycles = baseline_cycles - Cost.trace_cycles weights r.VF.r_events in
+        let events = baseline_events - persist_count r.VF.r_events in
         let verdict, detail =
-          match
-            ( fresh re_prefix base_prefix,
-              fresh re_adr base_adr,
-              fresh (VF.static_keys ~correctness_only:true re_static) base_structural,
-              fresh (VF.lint_keys ~only:Lint.Missing_flush re_lint) base_missing )
-          with
-          | bug :: _, _, _, _ -> (VF.Harmful, "introduces an oracle bug: " ^ bug)
-          | [], bug :: _, _, _ ->
-              (VF.Harmful, "introduces an oracle bug under the ADR crash view: " ^ bug)
-          | [], [], v :: _, _ -> (VF.Harmful, "introduces a structural violation: " ^ v)
-          | [], [], [], v :: _ -> (VF.Harmful, "strands a store window: " ^ v)
-          | [], [], [], [] ->
-              if not (Pmem.Image.equal base_image re_image) then
-                (VF.Harmful, "changes the final persisted image")
-              else if measured_cycles > 0 || measured_events > 0 then
-                ( VF.Proven,
-                  Printf.sprintf
-                    "replay-verified at every failure point under both crash views; saves %d \
-                     event(s), %d modelled cycle(s)"
-                    measured_events measured_cycles )
-              else (VF.Ineffective, "rewrite saves nothing under the cost model")
+          match r.VF.r_harm with
+          | Some harm -> (VF.Harmful, harm)
+          | None when VF.image_changed ck r -> (VF.Harmful, "changes the final persisted image")
+          | None when cycles > 0 || events > 0 ->
+              ( VF.Proven,
+                Printf.sprintf
+                  "replay-verified at every failure point under both crash views; saves %d \
+                   event(s), %d modelled cycle(s)"
+                  events cycles )
+          | None -> (VF.Ineffective, "rewrite saves nothing under the cost model")
         in
-        {
-          b_plan = plan;
-          b_verdict = verdict;
-          b_detail = detail;
-          b_measured_cycles = measured_cycles;
-          b_measured_events = measured_events;
-        }
+        bundle ~cycles ~events verdict detail
   in
   let bundles = List.map judge plans in
   let rank b =
@@ -679,7 +639,7 @@ let optimize ?invariants ?absint ?(max_plans = 12) ~weights ~support ~confidence
     proven;
     ineffective;
     harmful;
-    replays = !replays;
+    replays = VF.replays ck;
   }
 
 (* ------------------------------------------------------------------ *)

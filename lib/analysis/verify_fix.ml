@@ -221,34 +221,36 @@ let lint_keys ?only (l : Lint.t) =
     Keys.empty l.Lint.findings
 
 (* Replay-based fault injection: enumerate the trace's failure points with
-   the [points] closure, replay once, and capture + classify the crash
-   image of each point as it is passed — the offline analogue of the
-   snapshot injection strategy. [policy] selects the crash view:
-   [Program_prefix] (the default, Mumak's graceful model) or the
-   conservative [Adr] view the optimizer's differential uses, under which
-   only fenced data survives — the view that makes deleted or deferred
-   persist instructions observable. Returns the oracle-bug key set and the
-   final (fully drained, ADR) image of the replayed run. *)
-let inject ?(policy = Pmem.Device.Program_prefix) ~points ~oracle recording =
-  let evs = Pmtrace.Replay.events recording in
+   the [points] closure, replay once per crash view, and capture + classify
+   the crash image of each point as it is passed — the offline analogue of
+   the snapshot injection strategy. The program-prefix view is Mumak's
+   graceful model; with [adr] the conservative ADR view, under which only
+   fenced data survives, is judged too — the view that makes deleted or
+   deferred persist instructions observable. Returns the oracle-bug key
+   sets of both views (the ADR one empty when not judged) and the final
+   (fully drained) image of the replayed run. *)
+let inject ~adr ~points ~oracle recording =
   let want = Hashtbl.create 64 in
-  List.iter (fun (_, pseq, capture) -> Hashtbl.replace want pseq capture) (points evs);
-  let keys = ref Keys.empty in
-  let device =
-    Pmtrace.Replay.replay recording ~on_event:(fun device ~pseq _e ->
-        match Hashtbl.find_opt want pseq with
-        | None -> ()
-        | Some capture -> (
-            let img = Pmem.Device.crash device ~policy in
-            match oracle img with
-            | None -> ()
-            | Some (kind, _detail) ->
-                keys :=
-                  Keys.add
-                    (kind ^ "@" ^ Pmtrace.Callstack.capture_to_string capture)
-                    !keys))
+  List.iter
+    (fun (_, pseq, capture) -> Hashtbl.replace want pseq capture)
+    (points (Pmtrace.Replay.events recording));
+  let run policy =
+    let keys = ref Keys.empty in
+    let device =
+      Pmtrace.Replay.replay recording ~on_event:(fun device ~pseq _e ->
+          match Hashtbl.find_opt want pseq with
+          | None -> ()
+          | Some capture -> (
+              match oracle (Pmem.Device.crash device ~policy) with
+              | None -> ()
+              | Some (kind, _detail) ->
+                  keys :=
+                    Keys.add (kind ^ "@" ^ Pmtrace.Callstack.capture_to_string capture) !keys))
+    in
+    (!keys, Pmem.Device.persisted_image device)
   in
-  (!keys, Pmem.Device.persisted_image device)
+  let prefix, image = run Pmem.Device.Program_prefix in
+  (prefix, (if adr then fst (run Pmem.Device.Adr) else Keys.empty), image)
 
 (* A post-rewrite finding anchored at a synthesized event (stackless key,
    "kind@#pseq") has no source location: it is the detector re-describing
@@ -261,6 +263,100 @@ let attributable key =
   | None -> true
 
 (* ------------------------------------------------------------------ *)
+(* The recheck cascade                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* What the checks see on one trace: the static analysis of its
+   load-free/load-traced event pair, the lint of its events, and its replay
+   injection under the program-prefix crash view and, when enabled, the
+   conservative ADR view. *)
+type view = {
+  v_static : Static.t;
+  v_lint : Lint.t;
+  v_structural : Keys.t;
+  v_missing : Keys.t;
+  v_prefix : Keys.t;
+  v_adr : Keys.t;
+  v_image : Pmem.Image.t;
+}
+
+type checker = {
+  ck_view : Pmtrace.Replay.t -> Pmtrace.Event.t list * Pmtrace.Event.t list -> view;
+  ck_base : view;
+  mutable ck_replays : int;
+}
+
+let checker ?invariants ?(adr = false) ~support ~confidence ~eadr ~oracle ~points noload pair =
+  let view ?invariants recording (events, loaded_events) =
+    let v_static =
+      Static.analyze ?invariants ~support ~confidence ~eadr [ (events, loaded_events) ]
+    in
+    let v_lint = Lint.analyze ~eadr events in
+    let v_prefix, v_adr, v_image = inject ~adr ~points ~oracle recording in
+    {
+      v_static;
+      v_lint;
+      v_structural = static_keys ~correctness_only:true v_static;
+      v_missing = lint_keys ~only:Lint.Missing_flush v_lint;
+      v_prefix;
+      v_adr;
+      v_image;
+    }
+  in
+  (* invariants are mined once, on the baseline, and reused by every recheck *)
+  let base = view ?invariants noload pair in
+  {
+    ck_view = view ~invariants:base.v_static.Static.invariants;
+    ck_base = base;
+    ck_replays = (if adr then 2 else 1);
+  }
+
+let replays ck = ck.ck_replays
+
+type recheck = { r_events : Pmtrace.Event.t list; r_view : view; r_harm : string option }
+
+let recheck ck ?loaded noload edits =
+  match Pmtrace.Replay.rewrite noload edits with
+  | exception Failure msg -> Error msg
+  | rewritten ->
+      let norm = Pmtrace.Replay.normalize rewritten in
+      let norm_loaded =
+        match loaded with
+        | Some l -> Pmtrace.Replay.normalize (Pmtrace.Replay.rewrite l edits)
+        | None -> norm
+      in
+      let v = ck.ck_view rewritten (norm, norm_loaded) in
+      ck.ck_replays <- ck.ck_replays + 3;
+      let fresh keys =
+        Keys.elements (Keys.diff (keys v) (keys ck.ck_base)) |> List.filter attributable
+      in
+      let harm =
+        match
+          ( fresh (fun v -> v.v_prefix),
+            fresh (fun v -> v.v_adr),
+            fresh (fun v -> v.v_structural),
+            fresh (fun v -> v.v_missing) )
+        with
+        | bug :: _, _, _, _ -> Some ("introduces an oracle bug: " ^ bug)
+        | [], bug :: _, _, _ -> Some ("introduces an oracle bug under the ADR crash view: " ^ bug)
+        | [], [], v :: _, _ -> Some ("introduces a structural violation: " ^ v)
+        | [], [], [], v :: _ -> Some ("strands a store window: " ^ v)
+        | [], [], [], [] -> None
+      in
+      Ok { r_events = norm; r_view = v; r_harm = harm }
+
+let image_changed ck r = not (Pmem.Image.equal ck.ck_base.v_image r.r_view.v_image)
+
+(* One entry per distinct key, first occurrence kept, order preserved. *)
+let dedup key items =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun x ->
+      let k = key x in
+      (not (Hashtbl.mem seen k)) && (Hashtbl.replace seen k (); true))
+    items
+
+(* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,29 +365,15 @@ let verify ?invariants ~support ~confidence ~eadr
     ~(points : Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list)
     ~(noload : Pmtrace.Replay.t) ~(loaded : Pmtrace.Replay.t) (candidates : candidate list) =
   Telemetry.Collector.span ~cat:"verify" "verify_fixes" @@ fun () ->
-  let replays = ref 0 in
-  let noload_events = Pmtrace.Replay.events noload in
-  let loaded_events = Pmtrace.Replay.events loaded in
-  (* baseline: what the unmodified trace shows, under invariants mined once
-     and reused for every recheck *)
-  let base_static =
-    Static.analyze ?invariants ~support ~confidence ~eadr [ (noload_events, loaded_events) ]
+  let events = Pmtrace.Replay.events noload in
+  let ck =
+    checker ?invariants ~support ~confidence ~eadr ~oracle ~points noload
+      (events, Pmtrace.Replay.events loaded)
   in
-  let invariants = base_static.Static.invariants in
-  let base_lint = Lint.analyze ~eadr noload_events in
-  let base_oracle, base_image = inject ~points ~oracle noload in
-  incr replays;
-  let base_structural = static_keys ~correctness_only:true base_static in
-  let base_missing = lint_keys ~only:Lint.Missing_flush base_lint in
   (* deterministic order, one verdict per distinct edit *)
   let candidates =
-    List.stable_sort (fun a b -> Fix.compare a.c_fix b.c_fix) candidates
-    |> List.fold_left
-         (fun (seen, acc) c ->
-           let k = Fix.key c.c_fix in
-           if List.mem k seen then (seen, acc) else (k :: seen, c :: acc))
-         ([], [])
-    |> snd |> List.rev
+    dedup (fun c -> Fix.key c.c_fix)
+      (List.stable_sort (fun a b -> Fix.compare a.c_fix b.c_fix) candidates)
   in
   let judge c =
     (* one edit list, computed in noload coordinates and applied to both
@@ -299,50 +381,23 @@ let verify ?invariants ~support ~confidence ~eadr
        capture ordinals are not — a load-traced frame counts its loads, so
        matching sites by capture against the loaded trace would hit
        different instructions *)
-    let edits = expand_fix c.c_fix noload_events in
-    match Pmtrace.Replay.rewrite noload edits with
-    | exception Failure msg -> { o_candidate = c; o_verdict = Ineffective; o_detail = msg }
-    | rewritten ->
-        let norm_noload = Pmtrace.Replay.normalize rewritten in
-        let norm_loaded =
-          Pmtrace.Replay.normalize (Pmtrace.Replay.rewrite loaded edits)
-        in
-        let re_static =
-          Static.analyze ~invariants ~support ~confidence ~eadr [ (norm_noload, norm_loaded) ]
-        in
-        let re_lint = Lint.analyze ~eadr norm_noload in
-        let re_oracle, re_image = inject ~points ~oracle rewritten in
-        replays := !replays + 3;
-        let fresh got base =
-          Keys.elements (Keys.diff got base) |> List.filter attributable
-        in
-        let new_oracle = fresh re_oracle base_oracle in
-        let new_structural =
-          fresh (static_keys ~correctness_only:true re_static) base_structural
-        in
-        let new_missing = fresh (lint_keys ~only:Lint.Missing_flush re_lint) base_missing in
-        let image_changed = is_delete c.c_fix && not (Pmem.Image.equal base_image re_image) in
-        let target_gone =
+    let verdict, detail =
+      match recheck ck ~loaded noload (expand_fix c.c_fix events) with
+      | Error msg -> (Ineffective, msg)
+      | Ok { r_harm = Some harm; _ } -> (Harmful, harm)
+      | Ok r when is_delete c.c_fix && image_changed ck r ->
+          (Harmful, "deletion changes the final persisted image")
+      | Ok r ->
           let keys =
             match c.c_source with
-            | Static_finding -> static_keys ~correctness_only:false re_static
-            | Lint_finding -> lint_keys re_lint
+            | Static_finding -> static_keys ~correctness_only:false r.r_view.v_static
+            | Lint_finding -> lint_keys r.r_view.v_lint
           in
-          not (Keys.mem (candidate_key c) keys)
-        in
-        let verdict, detail =
-          match (new_oracle, new_structural, new_missing, image_changed) with
-          | bug :: _, _, _, _ -> (Harmful, "introduces an oracle bug: " ^ bug)
-          | [], v :: _, _, _ -> (Harmful, "introduces a structural violation: " ^ v)
-          | [], [], v :: _, _ -> (Harmful, "strands a store window: " ^ v)
-          | [], [], [], true ->
-              (Harmful, "deletion changes the final persisted image")
-          | [], [], [], false ->
-              if target_gone then
-                (Proven, "targeted finding gone from the rewritten trace; no new findings")
-              else (Ineffective, "targeted finding still present in the rewritten trace")
-        in
-        { o_candidate = c; o_verdict = verdict; o_detail = detail }
+          if not (Keys.mem (candidate_key c) keys) then
+            (Proven, "targeted finding gone from the rewritten trace; no new findings")
+          else (Ineffective, "targeted finding still present in the rewritten trace")
+    in
+    { o_candidate = c; o_verdict = verdict; o_detail = detail }
   in
   let outcomes = List.map judge candidates in
   let tally v = List.length (List.filter (fun o -> o.o_verdict = v) outcomes) in
@@ -350,7 +405,7 @@ let verify ?invariants ~support ~confidence ~eadr
   Telemetry.Collector.count "fix.proven" proven;
   Telemetry.Collector.count "fix.ineffective" ineffective;
   Telemetry.Collector.count "fix.harmful" harmful;
-  { outcomes; proven; ineffective; harmful; replays = !replays }
+  { outcomes; proven; ineffective; harmful; replays = replays ck }
 
 let pp_outcome ppf o =
   Fmt.pf ppf "[%s] %s -> %s (%s)"

@@ -64,43 +64,79 @@ val expand_fix : Fix.t -> Pmtrace.Event.t list -> Pmtrace.Replay.edit list
     fence drains the inserted flush, while a synthesized one would split
     the persist epoch and break the program's own atomicity batching. *)
 
-(** {2 Shared recheck machinery}
-
-    The helpers below are the building blocks {!verify} is made of,
-    exported so the optimizer ({!Opt}) judges its transformation plans
-    with the very same differential checks. *)
-
 module Keys : Set.S with type elt = string
 
-val finding_key : string -> Pmtrace.Callstack.capture option -> int -> string
-(** Finding identity across a rewrite: kind + code path (stacks survive
-    rewriting; anchors and detail strings embed indices that shift). *)
+(** {2 The recheck cascade}
 
-val attributable : string -> bool
-(** Whether a finding key names a program site: a stackless key
-    ("kind@#pseq") anchors at a synthesized event — the detector
-    re-describing the inserted instruction, not a new defect. *)
+    One differential judge for a rewritten trace, shared by {!verify} and
+    the optimizer ({!Opt}): rewrite, normalize, re-run the static analyzer
+    (under the baseline's invariants), the lint and replay-based fault
+    injection, and diff each against the unmodified trace. *)
 
-val static_keys : correctness_only:bool -> Static.t -> Keys.t
-val lint_keys : ?only:Lint.kind -> Lint.t -> Keys.t
+type view = {
+  v_static : Static.t;  (** static analysis of the trace's event pair *)
+  v_lint : Lint.t;  (** lint of the trace's events *)
+  v_structural : Keys.t;  (** correctness-grade static finding keys *)
+  v_missing : Keys.t;  (** missing-flush (stranded store window) lint keys *)
+  v_prefix : Keys.t;  (** oracle-bug keys under the program-prefix crash view *)
+  v_adr : Keys.t;  (** oracle-bug keys under the ADR crash view (empty when not run) *)
+  v_image : Pmem.Image.t;  (** final persisted image of the replayed run *)
+}
+(** What the checks see on one trace. *)
 
-val inject :
-  ?policy:Pmem.Device.crash_policy ->
-  points:(Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list) ->
+type checker
+(** A baseline view of the unmodified recording, plus the configuration
+    every recheck against it runs under. Counts the replays it performs. *)
+
+val checker :
+  ?invariants:Invariants.t ->
+  ?adr:bool ->
+  support:int ->
+  confidence:float ->
+  eadr:bool ->
   oracle:(Pmem.Image.t -> (string * string) option) ->
+  points:(Pmtrace.Event.t list -> (int * int * Pmtrace.Callstack.capture) list) ->
   Pmtrace.Replay.t ->
-  Keys.t * Pmem.Image.t
-(** Replay-based fault injection over every failure point of the given
-    recording: classify the crash image of each point under [policy]
-    ([Program_prefix] by default; the optimizer also runs the conservative
-    [Adr] view, under which only fenced data survives a crash — the view
-    that makes deleted or deferred persist instructions observable).
-    Returns the oracle-bug key set and the final fully-drained image. *)
+  Pmtrace.Event.t list * Pmtrace.Event.t list ->
+  checker
+(** [checker noload (events, loaded_events)] takes the baseline view:
+    [events] are [noload]'s, paired with [loaded_events] for the static
+    analyzer. Invariants are mined from that pair unless given, then
+    reused by every recheck. Replay injection also runs under the
+    conservative [Adr] view (only fenced data survives a crash, which makes
+    deleted or deferred persist instructions observable) when [adr] is
+    set. *)
 
-val is_delete : Fix.t -> bool
-(** Whether the fix promises behaviour preservation (deletions and every
-    transformation action), holding it to the final-image-equality
-    standard. *)
+val replays : checker -> int
+(** Trace interpretations performed so far: baseline injections plus three
+    per successful {!recheck}. *)
+
+type recheck = {
+  r_events : Pmtrace.Event.t list;  (** the rewritten trace, normalized *)
+  r_view : view;
+  r_harm : string option;
+      (** the first new correctness-grade finding, as a verdict detail, in
+          cascade order: oracle bug, ADR-view oracle bug, structural
+          violation, stranded store window *)
+}
+
+val recheck :
+  checker ->
+  ?loaded:Pmtrace.Replay.t ->
+  Pmtrace.Replay.t ->
+  Pmtrace.Replay.edit list ->
+  (recheck, string) result
+(** [recheck ck ?loaded noload edits] applies [edits] to [noload] (and to
+    [loaded], whose normalized trace then pairs with it for the static
+    analyzer; without it the load-free trace pairs with itself) and diffs
+    the rewritten view against the baseline. [Error msg] when an edit's
+    anchor does not fit the recording. *)
+
+val image_changed : checker -> recheck -> bool
+(** Whether the rewrite changed the final persisted image. *)
+
+val dedup : ('a -> string) -> 'a list -> 'a list
+(** One entry per distinct key, the first kept, order preserved. *)
 
 val verify :
   ?invariants:Invariants.t ->

@@ -37,19 +37,24 @@ type t = {
           analysis stops reporting unflushed stores as durability bugs *)
   max_failure_points : int option;  (** cap for very large targets *)
   static : bool;
-      (** run the offline persistency dependency-graph analyzer over
-          recorded traces before the dynamic phases: builds per-cacheline
-          store→flush→fence lineages, mines likely ordering/atomicity
-          invariants across [invariant_runs] executions, and attaches fix
-          suggestions to its findings *)
+      (** run the offline persistency dependency-graph analyzer over the
+          run's shared recordings (load-free and load-traced) before the
+          dynamic phases: builds per-cacheline store→flush→fence lineages,
+          mines likely ordering/atomicity invariants over [invariant_runs]
+          replicas of that recording pair, and attaches fix suggestions to
+          its findings. Costs the load-traced recording (one execution,
+          shared with [verify_fixes]); never a re-execution. *)
   prioritize : bool;
       (** reorder the [Reexecute] injection loop so failure points whose
           first occurrence falls inside a statically-suspicious window are
           injected first (invariant-guided prioritization). Requires
           [static]; ignored under [Snapshot]. *)
   invariant_runs : int;
-      (** executions (with distinct workload seeds) the invariant miner
-          observes; more runs raise support counts and kill noise *)
+      (** how many replicas of the one shared recording the invariant
+          miner and the abstract interpreter observe. The replicas are
+          identical copies, not distinct workload seeds, so more runs raise
+          support counts without adding evidence; distinct inputs are an
+          open ROADMAP item *)
   invariant_support : int;
       (** minimum dynamic instances before a candidate invariant is kept *)
   invariant_confidence : float;
@@ -71,12 +76,13 @@ type t = {
   verify_fixes : bool;
       (** verify every fix suggestion (static and lint) by rewriting the
           recorded trace, replaying it, and re-running the oracle and the
-          detectors: verdicts proven / ineffective / harmful. Costs two
-          extra instrumented executions (replay recordings) and replays —
-          never target re-executions. *)
+          detectors: verdicts proven / ineffective / harmful. Reads the
+          run's shared load-free recording and costs the load-traced one
+          (one execution, shared with [static]) plus replays — never
+          target re-executions. *)
   absint : bool;
       (** abstract-interpret a control-flow automaton merged from
-          [invariant_runs] recordings with a per-cache-line persistency
+          [invariant_runs] replicas of the shared recording with a per-cache-line persistency
           lattice: reports missing-flush/missing-fence/ordering findings on
           merged paths no single recording exercised (each with a concrete
           path witness) and proves failure-point sites safe for [prune] *)

@@ -38,8 +38,9 @@ val fp_listener :
   Pmtrace.Event.t ->
   Pmtrace.Callstack.t ->
   unit
-(** The shared failure-point detector (stateful: create one per
-    execution). *)
+(** The failure-point detector as a tracer listener (stateful: create one
+    per execution). {!offline_points} runs the same detector over a
+    recorded trace. *)
 
 val build_tree :
   ?extra_listener:(Pmtrace.Event.t -> Pmtrace.Callstack.t -> unit) ->
@@ -87,10 +88,12 @@ val inject_replay :
   Config.t ->
   Target.t ->
   recording:Pmtrace.Replay.t ->
+  points:(int * int * Pmtrace.Callstack.capture) list ->
   result * int list
 (** Replay-first injection ([Config.Replay], the default): rebuild the
-    failure-point tree offline from the shared recording (same ordinals a
-    live {!build_tree} assigns on the deterministic workload), materialize
+    failure-point tree offline from [points] — the recording's
+    {!offline_points}, so the same ordinals a live {!build_tree} assigns on
+    the deterministic workload — materialize
     every point's crash image in one batched prefix-incremental replay pass
     per worker ({!Pmtrace.Replay.materialize}), and stream the recovery
     oracle over the images — constant image memory, and the target is never
@@ -115,11 +118,15 @@ val inject_snapshot :
   Target.t ->
   result * Pmem.Stats.t
 (** Simulator-only optimisation: a single execution in which each new
-    failure point immediately snapshots its crash image and recovers on a
-    copy. Detects exactly the same bugs (asserted by tests). The second
+    failure point immediately snapshots its crash image and recovers on the
+    snapshot. Detects exactly the same bugs (asserted by tests). The second
     component is the device counters of the instrumented execution. *)
 
 val bug_records : result -> record list
+
+val member_of : int list -> int -> bool
+(** [member_of keys] is a constant-time membership test over [keys]
+    (failure-point ordinals, event seqs). *)
 
 val injections_to_first_bug : result -> int option
 (** 1-based position in [result.injection_order] of the first injection

@@ -19,8 +19,9 @@ let target_for ?version ?tx_mode name =
       in
       Targets.of_app (module A) ~version ?tx_mode ~workload:(wl ()) ()
 
-(* One fully instrumented recording, mirroring the engine's internal
-   [record_trace]: stacks on every event, optional load tracing. *)
+(* One fully instrumented, independent recording: stacks on every event,
+   optional load tracing. The reference the engine's shared recordings are
+   held to. *)
 let record ?(loads = false) (target : Mumak.Target.t) =
   let device = Pmem.Device.create ~size:target.Mumak.Target.pool_size () in
   if loads then Pmem.Device.trace_loads device true;
@@ -276,6 +277,126 @@ let test_prioritized_never_worse () =
       ("hashmap_tx", "hm_tx_head_no_snapshot");
     ]
 
+(* --- the phase pipeline over one shared recording --- *)
+
+let small_target name =
+  match Pmapps.Registry.find name with
+  | None -> Alcotest.failf "unknown app %s" name
+  | Some (module A : Pmapps.Kv_intf.S) ->
+      let version =
+        if String.equal name "hashmap_atomic" then Pmalloc.Version.V1_6
+        else Pmalloc.Version.V1_12
+      in
+      Targets.of_app (module A) ~version ~workload:(wl ~ops:40 ~key_range:15 ()) ()
+
+(* The static phase reads the run's shared recording pair replicated
+   [invariant_runs] times; on a deterministic target that must equal the
+   analyzer run over that many fresh, independent recordings. *)
+let test_static_shared_recordings_match_fresh () =
+  List.iter
+    (fun (name, bugs) ->
+      Bugreg.with_enabled bugs (fun () ->
+          let target = small_target name in
+          let config =
+            { Mumak.Config.default with Mumak.Config.static = true; invariant_runs = 3 }
+          in
+          let reference =
+            Analysis.Static.analyze ~support:config.Mumak.Config.invariant_support
+              ~confidence:config.Mumak.Config.invariant_confidence ~eadr:false
+              (List.init config.Mumak.Config.invariant_runs (fun _ ->
+                   ( Pmtrace.Trace.to_list (record target),
+                     Pmtrace.Trace.to_list (record ~loads:true target) )))
+          in
+          let r = Mumak.Engine.analyze ~config target in
+          match r.Mumak.Engine.static with
+          | None -> Alcotest.fail "static config produced no static result"
+          | Some s ->
+              Alcotest.(check int)
+                (name ^ ": as many static findings as over fresh recordings")
+                (List.length reference.Analysis.Static.findings)
+                (List.length s.Analysis.Static.findings);
+              Alcotest.(check bool)
+                (name ^ ": static findings equal those over fresh recordings")
+                true
+                (s.Analysis.Static.findings = reference.Analysis.Static.findings)))
+    [ ("btree", []); ("hashmap_atomic", [ "hm_atomic_link_before_persist" ]) ]
+
+(* Small enough for every optional phase to run in well under a second. *)
+let montage_target () =
+  Targets.of_montage ~variant:`Buffered ~workload:(wl ~ops:10 ~key_range:8 ()) ()
+
+let test_executions_pinned () =
+  List.iter
+    (fun (label, config, expected) ->
+      let r = Mumak.Engine.analyze ~config (montage_target ()) in
+      Alcotest.(check int) (label ^ ": executions") expected r.Mumak.Engine.executions)
+    [
+      ( "replay + static + verify_fixes",
+        { Mumak.Config.default with Mumak.Config.static = true; verify_fixes = true },
+        2 );
+      ("optimizing", Mumak.Config.optimizing, 1);
+      ("default", Mumak.Config.default, 1);
+    ]
+
+(* Every enabled phase emits exactly one ["phase"] span under its name, and
+   a phase's metrics are [Metrics.zero] exactly when it is off. *)
+let test_phase_spans_and_metrics () =
+  let all_on =
+    {
+      Mumak.Config.optimizing with
+      Mumak.Config.static = true;
+      verify_fixes = true;
+      prune = true;
+    }
+  in
+  List.iter
+    (fun (label, config, phases) ->
+      Telemetry.Collector.enable ();
+      ignore (Telemetry.Collector.drain ());
+      let r, dump =
+        Fun.protect ~finally:Telemetry.Collector.disable (fun () ->
+            let r = Mumak.Engine.analyze ~config (montage_target ()) in
+            (r, Telemetry.Collector.drain ()))
+      in
+      let spans =
+        List.filter_map
+          (fun (s : Telemetry.Span.t) ->
+            if s.Telemetry.Span.cat = "phase" then Some s.Telemetry.Span.name else None)
+          dump.Telemetry.Collector.spans
+      in
+      Alcotest.(check (list string))
+        (label ^ ": one phase span per enabled phase")
+        (List.sort compare phases) (List.sort compare spans);
+      let zero (m : Mumak.Metrics.t) = m = Mumak.Metrics.zero in
+      let on name = List.mem name phases in
+      List.iter
+        (fun (metric, m, phase) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s zero iff %s off" label metric phase)
+            (not (on phase)) (zero m))
+        [
+          ("sa_metrics", r.Mumak.Engine.sa_metrics, "static_analysis");
+          ("ai_metrics", r.Mumak.Engine.ai_metrics, "absint");
+          ("opt_metrics", r.Mumak.Engine.opt_metrics, "optimize");
+          ("ta_metrics", r.Mumak.Engine.ta_metrics, "trace_analysis");
+        ];
+      Alcotest.(check bool) (label ^ ": fi_metrics nonzero") false (zero r.Mumak.Engine.fi_metrics))
+    [
+      ("default", Mumak.Config.default, [ "injection"; "trace_analysis"; "resolve_stacks" ]);
+      ( "reexecute",
+        Mumak.Config.faithful,
+        [ "build_tree"; "injection"; "trace_analysis"; "resolve_stacks" ] );
+      ( "snapshot",
+        { Mumak.Config.default with Mumak.Config.strategy = Mumak.Config.Snapshot },
+        [ "fault_injection"; "trace_analysis"; "resolve_stacks" ] );
+      ( "every phase",
+        all_on,
+        [
+          "static_analysis"; "absint"; "prune"; "lint"; "optimize"; "injection"; "trace_analysis";
+          "resolve_stacks";
+        ] );
+    ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "analysis"
@@ -314,5 +435,14 @@ let () =
         [
           Alcotest.test_case "never worse than discovery order" `Quick
             test_prioritized_never_worse;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "static over shared recordings = over fresh ones" `Quick
+            test_static_shared_recordings_match_fresh;
+          Alcotest.test_case "executions pinned per configuration" `Quick
+            test_executions_pinned;
+          Alcotest.test_case "one phase span per enabled phase; zero metrics iff off" `Quick
+            test_phase_spans_and_metrics;
         ] );
     ]
