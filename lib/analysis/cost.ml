@@ -80,14 +80,13 @@ let class_of_op : Pmem.Op.t -> string option = function
   | Pmem.Op.Fence { kind = Pmem.Op.Rmw; _ } -> Some "cost.rmw_ns"
   | Pmem.Op.Load _ -> None
 
-(** One timed pass over a recorded event stream: each op is re-applied to
-    a fresh simulated device with {!Telemetry.Clock} stamps around it, one
-    latency histogram per op class (store payloads are not needed — the
-    model times the instruction, not the bytes). The result feeds {!fit};
-    it can also be exported through the telemetry JSONL and re-imported
-    elsewhere. *)
+(** One timed pass over a recorded event stream: the events are replayed
+    on a fresh simulated device through {!Pmtrace.Replay}'s interpreter,
+    with {!Telemetry.Clock} stamps around each one, one latency histogram
+    per op class (store payloads are not needed — the model times the
+    instruction, not the bytes). The result feeds {!fit}; it can also be
+    exported through the telemetry JSONL and re-imported elsewhere. *)
 let measure ~pool_size (events : Pmtrace.Event.t list) =
-  let device = Pmem.Device.create ~size:pool_size () in
   let tbl = Hashtbl.create 8 in
   let hist name =
     match Hashtbl.find_opt tbl name with
@@ -97,27 +96,16 @@ let measure ~pool_size (events : Pmtrace.Event.t list) =
         Hashtbl.replace tbl name h;
         h
   in
-  List.iter
-    (fun (e : Pmtrace.Event.t) ->
-      match class_of_op e.Pmtrace.Event.op with
-      | None -> ()
-      | Some cls ->
-          let t0 = Telemetry.Clock.now_ns () in
-          (match e.Pmtrace.Event.op with
-          | Pmem.Op.Store { addr; size; nt } ->
-              let b = Bytes.make size '\000' in
-              if nt then Pmem.Device.store_nt device ~addr b
-              else Pmem.Device.store device ~addr b
-          | Pmem.Op.Flush { kind; line; volatile; _ } ->
-              Pmem.Device.flush_line device ~kind ~line ~volatile
-          | Pmem.Op.Fence { kind; _ } -> (
-              match kind with
-              | Pmem.Op.Sfence -> Pmem.Device.sfence device
-              | Pmem.Op.Mfence -> Pmem.Device.mfence device
-              | Pmem.Op.Rmw -> Pmem.Device.rmw_fence device)
-          | Pmem.Op.Load _ -> ());
-          Telemetry.Histogram.observe (hist cls) (Telemetry.Clock.now_ns () - t0))
-    events;
+  let t0 = ref 0 in
+  ignore
+    (Pmtrace.Replay.replay
+       (Pmtrace.Replay.of_events ~pool_size events)
+       ~on_event:(fun _ ~pseq:_ _ -> t0 := Telemetry.Clock.now_ns ())
+       ~after_event:(fun (e : Pmtrace.Event.t) ->
+         let t1 = Telemetry.Clock.now_ns () in
+         Option.iter
+           (fun cls -> Telemetry.Histogram.observe (hist cls) (t1 - !t0))
+           (class_of_op e.Pmtrace.Event.op)));
   List.filter_map
     (fun name -> Option.map (fun h -> (name, h)) (Hashtbl.find_opt tbl name))
     class_names

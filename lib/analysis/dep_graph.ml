@@ -104,6 +104,7 @@ type window = {
   mutable w_locs : string list;
   mutable w_deps : (int * int) list;  (* src node id, witness raw seq *)
   mutable w_flush : (int * int) option;  (* raw seq, persistency index *)
+  mutable w_persisted : bool;  (* durable without a fence: a clflush of its line *)
 }
 
 let ring_max = 16
@@ -179,6 +180,7 @@ let add_store b (event : Pmtrace.Event.t) line =
             w_locs = [];
             w_deps = [];
             w_flush = None;
+            w_persisted = false;
           }
         in
         Hashtbl.replace b.pending line w;
@@ -224,7 +226,7 @@ let feed b (event : Pmtrace.Event.t) =
             capture_window b line
           end)
         lines
-  | Pmem.Op.Flush { line; volatile; dirty; _ } ->
+  | Pmem.Op.Flush { kind; line; volatile; dirty } ->
       if volatile then
         b.redundant_rev <-
           { r_kind = Volatile_flush; r_line = line; r_seq_p = b.pseq } :: b.redundant_rev
@@ -234,11 +236,15 @@ let feed b (event : Pmtrace.Event.t) =
         if not dirty then
           b.redundant_rev <-
             { r_kind = Clean_flush; r_line = line; r_seq_p = b.pseq } :: b.redundant_rev;
-        match Hashtbl.find_opt b.pending line with
+        (match Hashtbl.find_opt b.pending line with
         | Some w ->
             w.w_flush <- Some (event.Pmtrace.Event.seq, b.pseq);
             capture_window b line
-        | None -> ()
+        | None -> ());
+        (* clflush is strongly ordered: every captured window of its line is
+           durable right here, without waiting for a fence *)
+        if kind = Pmem.Op.Clflush then
+          List.iter (fun w -> if w.w_line = line then w.w_persisted <- true) b.ready
       end
   | Pmem.Op.Fence { pending_flushes; pending_nt; _ } ->
       if pending_flushes = 0 && pending_nt = 0 then
@@ -330,7 +336,9 @@ let finish b =
     }
   in
   let dangling =
-    List.map (fun w -> dangling_of w true) (List.rev b.ready)
+    List.filter_map
+      (fun w -> if w.w_persisted then None else Some (dangling_of w true))
+      (List.rev b.ready)
     @ (Hashtbl.fold (fun _ w acc -> dangling_of w false :: acc) b.pending []
       |> List.sort (fun a b -> compare a.d_first_store_p b.d_first_store_p))
   in

@@ -43,7 +43,7 @@ type t = {
   proven : int;
   ineffective : int;
   harmful : int;
-  replays : int;  (** trace interpretations performed (injection + normalization) *)
+  replays : int;  (** trace passes performed (normalization + materialization) *)
 }
 
 (* Finding identity across a rewrite: kind + code path. Stacks survive
@@ -220,37 +220,31 @@ let lint_keys ?only (l : Lint.t) =
       else Keys.add (finding_key (Lint.kind_to_string f.Lint.l_kind) f.Lint.l_stack f.Lint.l_pseq) acc)
     Keys.empty l.Lint.findings
 
-(* Replay-based fault injection: enumerate the trace's failure points with
-   the [points] closure, replay once per crash view, and capture + classify
-   the crash image of each point as it is passed — the offline analogue of
-   the snapshot injection strategy. The program-prefix view is Mumak's
-   graceful model; with [adr] the conservative ADR view, under which only
-   fenced data survives, is judged too — the view that makes deleted or
-   deferred persist instructions observable. Returns the oracle-bug key
-   sets of both views (the ADR one empty when not judged) and the final
-   (fully drained) image of the replayed run. *)
+(* Offline fault injection: enumerate the trace's failure points with the
+   [points] closure and classify each one's materialized crash image. The
+   program-prefix view is Mumak's graceful model; with [adr] the
+   conservative ADR view, under which only fenced data survives, is judged
+   too — the view that makes deleted or deferred persist instructions
+   observable. Returns the oracle-bug key sets of both views (the ADR one
+   empty when not judged). *)
 let inject ~adr ~points ~oracle recording =
-  let want = Hashtbl.create 64 in
+  let captures = Hashtbl.create 64 in
   List.iter
-    (fun (_, pseq, capture) -> Hashtbl.replace want pseq capture)
+    (fun (_, pseq, capture) -> Hashtbl.replace captures pseq capture)
     (points (Pmtrace.Replay.events recording));
-  let run policy =
+  let wanted = Hashtbl.fold (fun pseq _ acc -> (pseq, pseq) :: acc) captures [] in
+  let judge policy =
     let keys = ref Keys.empty in
-    let device =
-      Pmtrace.Replay.replay recording ~on_event:(fun device ~pseq _e ->
-          match Hashtbl.find_opt want pseq with
-          | None -> ()
-          | Some capture -> (
-              match oracle (Pmem.Device.crash device ~policy) with
-              | None -> ()
-              | Some (kind, _detail) ->
-                  keys :=
-                    Keys.add (kind ^ "@" ^ Pmtrace.Callstack.capture_to_string capture) !keys))
-    in
-    (!keys, Pmem.Device.persisted_image device)
+    ignore
+      (Pmtrace.Replay.materialize ~policy recording ~points:wanted ~f:(fun ~key image ->
+           match oracle image with
+           | None -> ()
+           | Some (kind, _detail) ->
+               let capture = Hashtbl.find captures key in
+               keys := Keys.add (kind ^ "@" ^ Pmtrace.Callstack.capture_to_string capture) !keys));
+    !keys
   in
-  let prefix, image = run Pmem.Device.Program_prefix in
-  (prefix, (if adr then fst (run Pmem.Device.Adr) else Keys.empty), image)
+  (judge Pmem.Device.Program_prefix, if adr then judge Pmem.Device.Adr else Keys.empty)
 
 (* A post-rewrite finding anchored at a synthesized event (stackless key,
    "kind@#pseq") has no source location: it is the detector re-describing
@@ -267,9 +261,10 @@ let attributable key =
 (* ------------------------------------------------------------------ *)
 
 (* What the checks see on one trace: the static analysis of its
-   load-free/load-traced event pair, the lint of its events, and its replay
+   load-free/load-traced event pair, the lint of its events, its offline
    injection under the program-prefix crash view and, when enabled, the
-   conservative ADR view. *)
+   conservative ADR view, and the persisted image its normalization pass
+   ends with. *)
 type view = {
   v_static : Static.t;
   v_lint : Lint.t;
@@ -281,18 +276,20 @@ type view = {
 }
 
 type checker = {
-  ck_view : Pmtrace.Replay.t -> Pmtrace.Event.t list * Pmtrace.Event.t list -> view;
+  ck_view :
+    Pmtrace.Replay.t -> Pmtrace.Event.t list * Pmtrace.Event.t list -> Pmem.Image.t -> view;
   ck_base : view;
+  ck_passes : int;  (* materialization passes per trace: one per crash view *)
   mutable ck_replays : int;
 }
 
 let checker ?invariants ?(adr = false) ~support ~confidence ~eadr ~oracle ~points noload pair =
-  let view ?invariants recording (events, loaded_events) =
+  let view ?invariants recording (events, loaded_events) v_image =
     let v_static =
       Static.analyze ?invariants ~support ~confidence ~eadr [ (events, loaded_events) ]
     in
     let v_lint = Lint.analyze ~eadr events in
-    let v_prefix, v_adr, v_image = inject ~adr ~points ~oracle recording in
+    let v_prefix, v_adr = inject ~adr ~points ~oracle recording in
     {
       v_static;
       v_lint;
@@ -304,11 +301,13 @@ let checker ?invariants ?(adr = false) ~support ~confidence ~eadr ~oracle ~point
     }
   in
   (* invariants are mined once, on the baseline, and reused by every recheck *)
-  let base = view ?invariants noload pair in
+  let base = view ?invariants noload pair (snd (Pmtrace.Replay.normalize noload)) in
+  let passes = if adr then 2 else 1 in
   {
     ck_view = view ~invariants:base.v_static.Static.invariants;
     ck_base = base;
-    ck_replays = (if adr then 2 else 1);
+    ck_passes = passes;
+    ck_replays = 1 + passes;
   }
 
 let replays ck = ck.ck_replays
@@ -319,14 +318,15 @@ let recheck ck ?loaded noload edits =
   match Pmtrace.Replay.rewrite noload edits with
   | exception Failure msg -> Error msg
   | rewritten ->
-      let norm = Pmtrace.Replay.normalize rewritten in
+      let norm, image = Pmtrace.Replay.normalize rewritten in
       let norm_loaded =
         match loaded with
-        | Some l -> Pmtrace.Replay.normalize (Pmtrace.Replay.rewrite l edits)
+        | Some l -> fst (Pmtrace.Replay.normalize (Pmtrace.Replay.rewrite l edits))
         | None -> norm
       in
-      let v = ck.ck_view rewritten (norm, norm_loaded) in
-      ck.ck_replays <- ck.ck_replays + 3;
+      let v = ck.ck_view rewritten (norm, norm_loaded) image in
+      ck.ck_replays <-
+        ck.ck_replays + ck.ck_passes + (match loaded with Some _ -> 2 | None -> 1);
       let fresh keys =
         Keys.elements (Keys.diff (keys v) (keys ck.ck_base)) |> List.filter attributable
       in

@@ -43,7 +43,11 @@ type t = {
   proven : int;
   ineffective : int;
   harmful : int;
-  replays : int;  (** trace interpretations performed (injection + normalization) *)
+  replays : int;
+      (** trace passes performed: one normalization per trace (its device
+          pass also yields the final image) and one
+          {!Pmtrace.Replay.materialize} pass per judged crash view — the
+          baseline's included *)
 }
 
 val edits_of_fix : Fix.t -> Pmtrace.Replay.edit list
@@ -70,8 +74,9 @@ module Keys : Set.S with type elt = string
 
     One differential judge for a rewritten trace, shared by {!verify} and
     the optimizer ({!Opt}): rewrite, normalize, re-run the static analyzer
-    (under the baseline's invariants), the lint and replay-based fault
-    injection, and diff each against the unmodified trace. *)
+    (under the baseline's invariants), the lint and offline fault injection
+    on materialized crash images, and diff each against the unmodified
+    trace. *)
 
 type view = {
   v_static : Static.t;  (** static analysis of the trace's event pair *)
@@ -80,7 +85,7 @@ type view = {
   v_missing : Keys.t;  (** missing-flush (stranded store window) lint keys *)
   v_prefix : Keys.t;  (** oracle-bug keys under the program-prefix crash view *)
   v_adr : Keys.t;  (** oracle-bug keys under the ADR crash view (empty when not run) *)
-  v_image : Pmem.Image.t;  (** final persisted image of the replayed run *)
+  v_image : Pmem.Image.t;  (** persisted image at the end of the normalization pass *)
 }
 (** What the checks see on one trace. *)
 
@@ -102,14 +107,17 @@ val checker :
 (** [checker noload (events, loaded_events)] takes the baseline view:
     [events] are [noload]'s, paired with [loaded_events] for the static
     analyzer. Invariants are mined from that pair unless given, then
-    reused by every recheck. Replay injection also runs under the
-    conservative [Adr] view (only fenced data survives a crash, which makes
-    deleted or deferred persist instructions observable) when [adr] is
-    set. *)
+    reused by every recheck. Every failure point's crash image comes from
+    {!Pmtrace.Replay.materialize}: under the program-prefix view always,
+    and under the conservative [Adr] view too (only fenced data survives a
+    crash, which makes deleted or deferred persist instructions
+    observable) when [adr] is set. *)
 
 val replays : checker -> int
-(** Trace interpretations performed so far: baseline injections plus three
-    per successful {!recheck}. *)
+(** Trace passes performed so far: the baseline's normalization and one
+    materialization pass per crash view, then per successful {!recheck}
+    one normalization per rewritten recording plus the same
+    materialization passes. *)
 
 type recheck = {
   r_events : Pmtrace.Event.t list;  (** the rewritten trace, normalized *)

@@ -86,7 +86,7 @@ let feed t (event : Pmtrace.Event.t) =
             let ls = line_state t line in
             ls.stores_since_flush <- ls.stores_since_flush + 1)
           (Pmem.Addr.lines_spanned ~addr ~size)
-  | Pmem.Op.Flush { line; volatile; _ } ->
+  | Pmem.Op.Flush { kind; line; volatile; _ } ->
       if volatile then
         report t Report.Redundant_flush seq
           (Printf.sprintf "flush of volatile address (line %d)" line)
@@ -96,22 +96,22 @@ let feed t (event : Pmtrace.Event.t) =
         if ls.stores_since_flush = 0 then
           report t Report.Redundant_flush seq
             (Printf.sprintf "line %d flushed with nothing written since its last flush" line)
-        else begin
-          if ls.stores_since_flush > 1 then
-            report t Report.Multi_store_flush_warning seq
-              (Printf.sprintf "one flush of line %d covers %d stores" line
-                 ls.stores_since_flush);
-          (* capture this line's dirty slots: they persist at the next fence *)
-          let lo = Pmem.Addr.line_base line / Pmem.Addr.atomic_size in
-          for slot = lo to lo + (Pmem.Addr.line_size / Pmem.Addr.atomic_size) - 1 do
-            match Hashtbl.find_opt t.slots slot with
-            | Some (Dirty, sseq) ->
-                Hashtbl.replace t.slots slot (Captured, sseq);
-                t.captured_slots <- slot :: t.captured_slots
-            | Some (Captured, _) | None -> ()
-          done;
-          ls.stores_since_flush <- 0
-        end
+        else if ls.stores_since_flush > 1 then
+          report t Report.Multi_store_flush_warning seq
+            (Printf.sprintf "one flush of line %d covers %d stores" line ls.stores_since_flush);
+        (* clflush is strongly ordered: the line's unpersisted slots persist
+           right here. clflushopt/clwb capture its dirty slots, which
+           persist at the next fence. *)
+        let lo = Pmem.Addr.line_base line / Pmem.Addr.atomic_size in
+        for slot = lo to lo + (Pmem.Addr.line_size / Pmem.Addr.atomic_size) - 1 do
+          match (kind, Hashtbl.find_opt t.slots slot) with
+          | Pmem.Op.Clflush, Some _ -> Hashtbl.remove t.slots slot
+          | (Pmem.Op.Clflushopt | Pmem.Op.Clwb), Some (Dirty, sseq) ->
+              Hashtbl.replace t.slots slot (Captured, sseq);
+              t.captured_slots <- slot :: t.captured_slots
+          | _, (Some (Captured, _) | None) -> ()
+        done;
+        ls.stores_since_flush <- 0
       end
   | Pmem.Op.Fence { pending_flushes; pending_nt; _ } ->
       if pending_flushes = 0 && pending_nt = 0 then

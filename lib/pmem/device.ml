@@ -1,4 +1,4 @@
-type crash_policy = Program_prefix | Adr | Adr_with_pending
+type crash_policy = Program_prefix | Adr
 
 exception Out_of_bounds of { addr : int; size : int; device_size : int }
 
@@ -298,6 +298,7 @@ let fetch_add t ~addr delta =
   current
 
 let persisted_image t = Image.snapshot t.image
+let persisted_view t = Image.cow t.image
 let volatile_view_into t img =
   Hashtbl.iter
     (fun line ls ->
@@ -317,19 +318,6 @@ let crash t ~policy =
   let policy = if t.eadr then Program_prefix else policy in
   match policy with
   | Adr -> Image.snapshot t.image
-  | Adr_with_pending ->
-      let img = Image.snapshot t.image in
-      List.iter
-        (fun line ->
-          match Hashtbl.find_opt t.pending line with
-          | Some content ->
-              let base = Addr.line_base line in
-              let avail = min Addr.line_size (Image.size img - base) in
-              if avail > 0 then
-                Image.blit_to img ~dst_addr:base ~src:content ~src_off:0 ~len:avail
-          | None -> ())
-        (List.rev t.pending_order);
-      img
   | Program_prefix ->
       (* Graceful crash: everything the program issued persists. The overlay
          holds the newest content of every touched line, and NT stores were

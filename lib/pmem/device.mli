@@ -23,9 +23,6 @@ type crash_policy =
       (** Mumak's graceful crash: every store issued so far is persisted, so
           the post-failure state is the deterministic program-order prefix. *)
   | Adr  (** Only fenced (already persistent) data survives. *)
-  | Adr_with_pending
-      (** Fenced data plus flushes that were issued but not yet fenced (they
-          may or may not have drained; this policy assumes they did). *)
 
 exception Out_of_bounds of { addr : int; size : int; device_size : int }
 
@@ -138,6 +135,11 @@ val crash : t -> policy:crash_policy -> Image.t
 val persisted_image : t -> Image.t
 (** Snapshot of the current persistent image (equivalent to
     [crash ~policy:Adr]). *)
+
+val persisted_view : t -> Image.t
+(** {!persisted_image} without the copy: an {!Image.cow} view of the
+    persistent image, valid only until the device next executes an
+    instruction. *)
 
 val volatile_view : t -> Image.t
 (** The program's own view of memory: persistent image overlaid with all

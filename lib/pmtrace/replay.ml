@@ -123,14 +123,16 @@ let record ?(loads = false) ?(eadr = false) ~pool_size run =
 
 exception Stop
 
+(* A store's recorded bytes; zero fill when no payload was recorded. *)
+let payload t (e : Event.t) size =
+  match Arena.Slab.find t.payloads e.Event.seq with
+  | Some b -> b
+  | None -> Bytes.make size '\000'
+
 let apply t device (e : Event.t) =
   match e.Event.op with
   | Pmem.Op.Store { addr; size; nt } ->
-      let b =
-        match Arena.Slab.find t.payloads e.Event.seq with
-        | Some b -> b
-        | None -> Bytes.make size '\000' (* no payload recorded: zero fill *)
-      in
+      let b = payload t e size in
       if nt then Pmem.Device.store_nt device ~addr b
       else Pmem.Device.store device ~addr b
   | Pmem.Op.Flush { kind; line; volatile; _ } ->
@@ -167,61 +169,64 @@ let run ?hook ?on_event ?after_event t =
    with Stop -> ());
   device
 
-let replay ?on_event t =
+let replay ?on_event ?after_event t =
   Telemetry.Collector.span ~cat:"replay" ~hist:"replay_ns" "replay" @@ fun () ->
-  run ?on_event t
+  run ?on_event ?after_event t
 
 (* Batched, prefix-incremental crash-image materializer: one forward pass
-   rolls a single prefix image through the recording, so the image prefix
-   two consecutive failure points share is applied once instead of being
+   carries the crash view through the recording, so the prefix two
+   consecutive failure points share is applied once instead of being
    rebuilt from scratch per point; each wanted image is handed to [f] the
-   moment its pseq is reached and never retained here.
+   moment its pseq is reached, as a zero-copy {!Pmem.Image.cow} view (the
+   oracle's recovery run pays for the pages it touches), and never
+   retained here. A view reads through the pass's live image, so it is
+   valid only until [f] returns.
 
-   The pass interprets stores only. Mumak's crash images are
-   [Program_prefix] — every store issued before the failure point
-   persists — so the image at any point is exactly the recorded store
-   payloads (and allocator poison) applied in order, and flushes, fences
-   and loads cannot move bytes the view doesn't already show. That
-   reduces per-event work to a payload blit, and per-point work to a
-   zero-copy {!Pmem.Image.cow} view of the rolling prefix: the oracle's
-   recovery run pays for the pages it touches instead of two full-pool
-   copies. Each view reads through the shared prefix, so it is valid only
-   until [f] returns. *)
-let materialize t ~points ~f =
+   Under [Program_prefix] — Mumak's graceful crash, every store issued
+   before the failure point persists — the image at any point is exactly
+   the recorded store payloads (and allocator poison) applied in order:
+   flushes, fences and loads cannot move bytes the view doesn't already
+   show, so the pass interprets stores only. Under [Adr] only fenced data
+   survives, which is the device's flush/fence state machine: the pass
+   drives a {!Pmem.Device} through [run] and views its persistent image.
+   An eADR recording persists every store, so it gets the store-only pass
+   whatever the policy — as {!Pmem.Device.crash} does. *)
+let materialize ?(policy = Pmem.Device.Program_prefix) t ~points ~f =
   Telemetry.Collector.span ~cat:"replay" ~hist:"replay_ns" "materialize" @@ fun () ->
   let remaining = Hashtbl.create (max 16 (List.length points)) in
   List.iter (fun (key, pseq) -> Hashtbl.replace remaining pseq key) points;
-  if Hashtbl.length remaining > 0 then begin
-    let prefix = Pmem.Image.create ~size:t.pool_size in
-    let pseq = ref 0 in
-    try
-      iter_items t (fun item ->
-          match item with
-          | Poison { addr; size } -> Pmem.Image.write prefix ~addr (Bytes.make size '\xdd')
-          | Ev e ->
-              (match e.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
-              (match Hashtbl.find_opt remaining !pseq with
-              | Some key ->
-                  Hashtbl.remove remaining !pseq;
-                  let image =
-                    Telemetry.Collector.span ~cat:"replay" ~hist:"crash_image_ns"
-                      ~args:[ ("key", Telemetry.Json.Int key) ]
-                      "crash_image" (fun () -> Pmem.Image.cow prefix)
-                  in
-                  f ~key image;
-                  if Hashtbl.length remaining = 0 then raise Stop
-              | None -> ());
-              (match e.Event.op with
-              | Pmem.Op.Store { addr; size; _ } ->
-                  let b =
-                    match Arena.Slab.find t.payloads e.Event.seq with
-                    | Some b -> b
-                    | None -> Bytes.make size '\000' (* no payload recorded: zero fill *)
-                  in
-                  Pmem.Image.write prefix ~addr b
-              | Pmem.Op.Flush _ | Pmem.Op.Fence _ | Pmem.Op.Load _ -> ()))
-    with Stop -> ()
-  end;
+  let capture pseq view =
+    match Hashtbl.find_opt remaining pseq with
+    | None -> ()
+    | Some key ->
+        Hashtbl.remove remaining pseq;
+        let image =
+          Telemetry.Collector.span ~cat:"replay" ~hist:"crash_image_ns"
+            ~args:[ ("key", Telemetry.Json.Int key) ]
+            "crash_image" view
+        in
+        f ~key image;
+        if Hashtbl.length remaining = 0 then raise Stop
+  in
+  (if Hashtbl.length remaining > 0 then
+     match policy with
+     | Pmem.Device.Adr when not t.eadr ->
+         ignore
+           (run t ~on_event:(fun device ~pseq _ ->
+                capture pseq (fun () -> Pmem.Device.persisted_view device)))
+     | Pmem.Device.Adr | Pmem.Device.Program_prefix -> (
+         let prefix = Pmem.Image.create ~size:t.pool_size in
+         let pseq = ref 0 in
+         try
+           iter_items t (function
+             | Poison { addr; size } -> Pmem.Image.write prefix ~addr (Bytes.make size '\xdd')
+             | Ev e -> (
+                 (match e.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
+                 capture !pseq (fun () -> Pmem.Image.cow prefix);
+                 match e.Event.op with
+                 | Pmem.Op.Store { addr; size; _ } -> Pmem.Image.write prefix ~addr (payload t e size)
+                 | Pmem.Op.Flush _ | Pmem.Op.Fence _ | Pmem.Op.Load _ -> ()))
+         with Stop -> ()));
   Hashtbl.fold (fun _pseq key acc -> key :: acc) remaining []
 
 (* Field-wise statistics comparison. [loads] only when the recording traced
@@ -468,7 +473,8 @@ let rewrite_events evs edits =
    device re-emits yields the same events with metadata recomputed —
    every driven event emits exactly one op, so the streams zip. On an
    unmodified recording this is the identity (the replay-lossless
-   property the tests assert). *)
+   property the tests assert). The same device pass yields the persisted
+   image the run ends with. *)
 let normalize t =
   let out = ref [] in
   let current = ref None in
@@ -480,8 +486,8 @@ let normalize t =
         out := { e with Event.op } :: !out
     | None -> Fmt.failwith "Replay.normalize: event #%d re-emitted nothing" e.Event.seq
   in
-  ignore (run ~hook ~after_event t);
-  List.rev !out
+  let device = run ~hook ~after_event t in
+  (List.rev !out, Pmem.Device.persisted_image device)
 
 let normalize_events ?(loads = false) ?(eadr = false) ~pool_size evs =
-  normalize (of_events ~loads ~eadr ~pool_size evs)
+  fst (normalize (of_events ~loads ~eadr ~pool_size evs))

@@ -42,27 +42,48 @@ exception Stop
 (** Raise from [on_event] to end a replay early (after a crash image has
     been captured, say). *)
 
-val replay : ?on_event:(Pmem.Device.t -> pseq:int -> Event.t -> unit) -> t -> Pmem.Device.t
+val replay :
+  ?on_event:(Pmem.Device.t -> pseq:int -> Event.t -> unit) ->
+  ?after_event:(Event.t -> unit) ->
+  t ->
+  Pmem.Device.t
 (** [replay t] re-applies the recording to a fresh device and returns it.
     [on_event] fires {e before} each event is applied — the hook discipline
     of the live device, so [Pmem.Device.crash] called there yields the
-    image a fault at that instruction leaves behind. [pseq] is the
-    persistency index (1-based count of non-load events), the coordinate
-    system of the offline analyses. *)
+    image a fault at that instruction leaves behind. [after_event] fires
+    right after the event applied. [pseq] is the persistency index (1-based
+    count of non-load events), the coordinate system of the offline
+    analyses. *)
 
 val materialize :
-  t -> points:(int * int) list -> f:(key:int -> Pmem.Image.t -> unit) -> int list
+  ?policy:Pmem.Device.crash_policy ->
+  t ->
+  points:(int * int) list ->
+  f:(key:int -> Pmem.Image.t -> unit) ->
+  int list
 (** [materialize t ~points ~f] — the batched, prefix-incremental crash-image
-    materializer. [points] is a [(key, pseq)] list (keys and pseqs unique,
-    any order); one forward replay pass rolls a single device through the
-    recording, so the prefix two consecutive failure points share is
-    applied once instead of rebuilt from scratch per point. Each wanted
-    image is passed to [f] the moment its pseq is reached — before the
-    event at that index applies, exactly where live injection crashes — and
-    is not retained here, so callers can stream oracle checks in constant
-    image memory. Stops as soon as the last wanted image is out. Returns
-    the keys of points never reached (empty for any in-range pseq set);
-    the engine re-executes those live. *)
+    materializer, the only producer of offline crash images. [points] is a
+    [(key, pseq)] list (keys and pseqs unique, any order). One forward pass
+    carries the crash view through the recording, so the prefix two
+    consecutive failure points share is applied once; each wanted image is
+    passed to [f] the moment its pseq is reached — before the event at that
+    index applies, exactly where live injection crashes — and equals
+    [Pmem.Device.crash ~policy] of a replayed device at that point.
+
+    [policy] (default [Program_prefix]) picks the view:
+    - [Program_prefix]: every store issued so far persists. The pass applies
+      only store payloads and poison to a rolling prefix image — no device.
+    - [Adr]: only fenced data persists. The pass drives one
+      {!Pmem.Device} (the flush/fence state machine) and views its
+      persistent image. A recording made under eADR persists every store
+      and gets the program-prefix pass.
+
+    Each image is a zero-copy {!Pmem.Image.cow} view of the pass's live
+    image: writes stay private to the view, but it is valid only until [f]
+    returns (snapshot it to keep it). Nothing is retained here, so callers
+    stream oracle checks in constant image memory. Stops as soon as the
+    last wanted image is out. Returns the keys of points never reached
+    (empty for any in-range pseq set); the engine re-executes those live. *)
 
 val stats_match : t -> Pmem.Stats.t -> bool
 (** Do the replayed device counters equal the recorded run's?  [loads] is
@@ -116,12 +137,14 @@ val rewrite_events : Event.t list -> edit list -> Event.t list
 
 (** {1 Normalization} *)
 
-val normalize : t -> Event.t list
+val normalize : t -> Event.t list * Pmem.Image.t
 (** Replay the recording and return its events with the device-recomputed
     metadata (flush [dirty]/[volatile] bits, fence pending counts): after a
     rewrite the recorded metadata is stale — a fence's [pending_flushes]
-    still counts a deleted flush. On an unmodified recording this is the
-    identity (the replay-lossless property the tests assert). *)
+    still counts a deleted flush. On an unmodified recording the events are
+    the identity (the replay-lossless property the tests assert). The same
+    pass yields the persisted image the replayed run ends with
+    ([Pmem.Device.persisted_image] of the final device). *)
 
 val normalize_events :
   ?loads:bool -> ?eadr:bool -> pool_size:int -> Event.t list -> Event.t list

@@ -61,6 +61,22 @@ let prop_graph_check_synthetic =
       let g = Analysis.Dep_graph.build (events_of_ops (List.concat_map block_ops blocks)) in
       Analysis.Dep_graph.check g = [])
 
+(* clflush persists its line at once: a window it captured, or one a clwb
+   captured before it, is durable even when no fence ever follows, while a
+   clwb-captured one alone still dangles *)
+let test_graph_clflush_not_dangling () =
+  let dangling flushes =
+    let flush kind = Pmem.Op.Flush { kind; line = 0; dirty = true; volatile = false } in
+    List.length
+      (Analysis.Dep_graph.build
+         (events_of_ops (Pmem.Op.Store { addr = 0; size = 8; nt = false } :: List.map flush flushes)))
+        .Analysis.Dep_graph.dangling
+  in
+  Alcotest.(check int) "clflushed window is not dangling" 0 (dangling [ Pmem.Op.Clflush ]);
+  Alcotest.(check int) "clwb then clflush: not dangling" 0
+    (dangling [ Pmem.Op.Clwb; Pmem.Op.Clflush ]);
+  Alcotest.(check int) "clwb-captured window still dangles" 1 (dangling [ Pmem.Op.Clwb ])
+
 let test_graph_check_recorded () =
   List.iter
     (fun name ->
@@ -404,6 +420,8 @@ let () =
       ( "dep_graph",
         [
           qt prop_graph_check_synthetic;
+          Alcotest.test_case "lone clflushed window is not dangling" `Quick
+            test_graph_clflush_not_dangling;
           Alcotest.test_case "recorded traces pass structural checks" `Quick
             test_graph_check_recorded;
           Alcotest.test_case "epoch groups are monotone" `Quick test_graph_epochs_monotone;

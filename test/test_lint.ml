@@ -55,10 +55,14 @@ let test_replay_lossless () =
         (name ^ ": replayed device counters equal the recorded run's")
         true
         (Pmtrace.Replay.stats_match recording (Pmem.Device.stats device));
+      let normalized, final_image = Pmtrace.Replay.normalize recording in
       Alcotest.(check bool)
         (name ^ ": normalize of an unmodified recording is the identity")
+        true (normalized = evs);
+      Alcotest.(check bool)
+        (name ^ ": normalize ends on the replayed run's persisted image")
         true
-        (Pmtrace.Replay.normalize recording = evs);
+        (Pmem.Image.equal final_image (Pmem.Device.persisted_image device));
       (* failure-point set, byte-for-byte, across serialization *)
       let round_tripped =
         let tr = Pmtrace.Trace.create () in

@@ -73,11 +73,20 @@ let persist_ops slot =
     Pmem.Op.Fence { kind = Pmem.Op.Sfence; pending_flushes = 1; pending_nt = 0 };
   ]
 
+(* ... or a strongly ordered one: store, then clflush, which persists the
+   line at once and needs no fence *)
+let clflush_persist_ops slot =
+  [
+    Pmem.Op.Store { addr = slot * 8; size = 8; nt = false };
+    Pmem.Op.Flush { kind = Pmem.Op.Clflush; line = slot * 8 / 64; dirty = true; volatile = false };
+  ]
+
 let prop_ta_clean_persists =
   QCheck.Test.make ~name:"well-formed persist sequences yield no findings" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 30) (int_range 0 500))
-    (fun slots ->
-      let findings = ta_run (List.concat_map persist_ops slots) in
+    QCheck.(list_of_size (Gen.int_range 1 30) (pair (int_range 0 500) bool))
+    (fun persists ->
+      let ops s clflush = if clflush then clflush_persist_ops s else persist_ops s in
+      let findings = ta_run (List.concat_map (fun (s, clflush) -> ops s clflush) persists) in
       findings = [])
 
 let prop_ta_missing_fence_is_flagged =

@@ -273,12 +273,75 @@ let test_optimize_batch_and_tally () =
   in
   Alcotest.(check int) "proven" 1 o.Opt.proven;
   Alcotest.(check int) "verified = synthesized below the cap" o.Opt.synthesized o.Opt.verified;
-  (* two baseline injection passes plus three replays per verified plan *)
-  Alcotest.(check int) "replay accounting" (2 + (3 * o.Opt.verified)) o.Opt.replays;
+  (* the baseline's normalization and two materialization passes, then per
+     verified plan its normalization and one pass per crash view *)
+  Alcotest.(check int) "replay accounting" (3 + (3 * o.Opt.verified)) o.Opt.replays;
   let b = List.hd (Opt.shipped o) in
   Alcotest.(check int) "one fence removed" 1 b.Opt.b_measured_events;
   Alcotest.(check bool) "pure deletion: measured equals projected" true
     (b.Opt.b_measured_cycles = b.Opt.b_plan.Opt.p_projected_cycles)
+
+(* The recheck cascade judges a rewrite through the materializer: its
+   oracle keys under both crash views and its final image must equal a
+   full device replay of the rewritten trace that captures
+   [Device.crash] at every failure point. Four framed puts, each a store,
+   clwb and sfence of its own line; the rewrite drops put1's flush, so
+   under ADR put2's fence persists word 2 while word 1 never does. *)
+let test_recheck_views_match_device_reference () =
+  let module VF = Analysis.Verify_fix in
+  let noload =
+    Replay.record ~pool_size (fun ~device ~framer ->
+        for i = 0 to 3 do
+          framer.Pmtrace.Framer.frame (Printf.sprintf "put%d" i) (fun () ->
+              Pmem.Device.store_i64 device ~addr:(i * 64) (Int64.of_int (i + 1));
+              Pmem.Device.clwb device ~addr:(i * 64);
+              Pmem.Device.sfence device)
+        done)
+  in
+  let word img i = Pmem.Image.read_i64 img ~addr:(i * 64) <> 0L in
+  let oracle img =
+    if List.exists (fun i -> word img i && not (word img (i - 1))) [ 1; 2; 3 ] then
+      Some ("out_of_order", "a later put persisted before an earlier one")
+    else if word img 2 && not (word img 3) then Some ("partial", "put3 missing")
+    else None
+  in
+  let points = Mumak.Fault_injection.offline_points Mumak.Config.default in
+  let events = Replay.events noload in
+  let ck =
+    VF.checker ~adr:true ~support:3 ~confidence:0.9 ~eadr:false ~oracle ~points noload
+      (events, events)
+  in
+  let edits = [ Replay.Delete_flush_at { pseq = 5 } ] in
+  let r =
+    match VF.recheck ck noload edits with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "recheck rejected the rewrite: %s" msg
+  in
+  let rewritten = Replay.rewrite noload edits in
+  let wanted = Hashtbl.create 16 in
+  List.iter
+    (fun (_, pseq, c) -> Hashtbl.replace wanted pseq c)
+    (points (Replay.events rewritten));
+  let reference policy =
+    let keys = ref VF.Keys.empty in
+    let device =
+      Replay.replay rewritten ~on_event:(fun device ~pseq _ ->
+          match (Hashtbl.find_opt wanted pseq, oracle (Pmem.Device.crash device ~policy)) with
+          | Some c, Some (kind, _) ->
+              keys := VF.Keys.add (kind ^ "@" ^ Pmtrace.Callstack.capture_to_string c) !keys
+          | _ -> ())
+    in
+    (VF.Keys.elements !keys, Pmem.Device.persisted_image device)
+  in
+  let prefix, image = reference Pmem.Device.Program_prefix in
+  let adr, _ = reference Pmem.Device.Adr in
+  let v = r.VF.r_view in
+  Alcotest.(check (list string)) "v_prefix" prefix (VF.Keys.elements v.VF.v_prefix);
+  Alcotest.(check (list string)) "v_adr" adr (VF.Keys.elements v.VF.v_adr);
+  let reordered = List.exists (String.starts_with ~prefix:"out_of_order") in
+  Alcotest.(check bool) "only the ADR view sees the dropped flush" true
+    (prefix <> [] && reordered adr && not (reordered prefix));
+  Alcotest.(check bool) "v_image" true (Pmem.Image.equal image v.VF.v_image)
 
 (* --- qcheck: rewrite edit composition ------------------------------- *)
 
@@ -457,6 +520,8 @@ let () =
           Alcotest.test_case "proves safe plans" `Quick test_optimize_proves_safe_plans;
           Alcotest.test_case "batch verdict + replay tally" `Quick
             test_optimize_batch_and_tally;
+          Alcotest.test_case "recheck views = device-replay reference" `Quick
+            test_recheck_views_match_device_reference;
         ] );
       ( "rewrite-qcheck",
         [

@@ -20,8 +20,9 @@
    round-trip, interning stability (decoded equal paths are physically
    shared), serialization of arena-backed traces equal to the list-backed
    round-trip, rewrite on arena-backed recordings agreeing with the
-   list-based rewriter, and the store-only prefix materializer producing
-   byte-identical images to a full device replay. *)
+   list-based rewriter, and the materializer producing byte-identical
+   images to a full device replay under either crash policy, on ADR and
+   eADR recordings. *)
 
 let app name =
   match Pmapps.Registry.find name with
@@ -264,6 +265,30 @@ let pseq_count evs =
        (fun e -> match e.Pmtrace.Event.op with Pmem.Op.Load _ -> false | _ -> true)
        evs)
 
+let policy_name = function
+  | Pmem.Device.Program_prefix -> "program-prefix"
+  | Pmem.Device.Adr -> "adr"
+
+(* A recording of a live program executing [evs]' ops: every store writes
+   bytes of its own (so crash images differ from point to point), every
+   fifth op is preceded by allocator poison, and loads are traced. *)
+let record_program ~eadr evs =
+  Pmtrace.Replay.record ~loads:true ~eadr ~pool_size (fun ~device ~framer:_ ->
+      List.iteri
+        (fun i (e : Pmtrace.Event.t) ->
+          if i mod 5 = 4 then Pmem.Device.poison device ~addr:(i * 37 mod (pool_size - 8)) ~size:8;
+          match e.Pmtrace.Event.op with
+          | Pmem.Op.Store { addr; size; nt } ->
+              let b = Bytes.make size (Char.chr (1 + (i mod 255))) in
+              if nt then Pmem.Device.store_nt device ~addr b else Pmem.Device.store device ~addr b
+          | Pmem.Op.Flush { kind; line; _ } ->
+              Pmem.Device.flush_line device ~kind ~line ~volatile:false
+          | Pmem.Op.Fence { kind = Pmem.Op.Sfence; _ } -> Pmem.Device.sfence device
+          | Pmem.Op.Fence { kind = Pmem.Op.Mfence; _ } -> Pmem.Device.mfence device
+          | Pmem.Op.Fence { kind = Pmem.Op.Rmw; _ } -> Pmem.Device.rmw_fence device
+          | Pmem.Op.Load { addr; size } -> ignore (Pmem.Device.load device ~addr ~size))
+        evs)
+
 let arena_of evs =
   let a = Pmtrace.Arena.create () in
   List.iter (Pmtrace.Arena.add a) evs;
@@ -347,31 +372,33 @@ let arena_tests =
         Pmtrace.Replay.events (Pmtrace.Replay.rewrite t edits)
         = Pmtrace.Replay.rewrite_events evs edits);
     QCheck.Test.make ~name:"materialized images = device-replay crash images" ~count:100
-      events_arb (fun evs ->
-        let np = pseq_count evs in
+      (QCheck.triple events_arb
+         (QCheck.make ~print:policy_name
+            (QCheck.Gen.oneofl [ Pmem.Device.Program_prefix; Pmem.Device.Adr ]))
+         (QCheck.make ~print:(Printf.sprintf "eadr=%b") QCheck.Gen.bool))
+      (fun (evs, policy, eadr) ->
+        let t = record_program ~eadr evs in
+        let np = pseq_count (Pmtrace.Replay.events t) in
         np = 0
         ||
-        let t = Pmtrace.Replay.of_events ~pool_size evs in
         (* batch-materialize every persistency index; snapshot each view
-           inside the callback (it reads through the shared prefix and is
-           only valid there) *)
+           inside the callback (it reads through the pass's live image and
+           is only valid there) *)
         let materialized = Hashtbl.create np in
         let unreached =
-          Pmtrace.Replay.materialize t
+          Pmtrace.Replay.materialize ~policy t
             ~points:(List.init np (fun i -> (i + 1, i + 1)))
             ~f:(fun ~key image ->
               Hashtbl.replace materialized key (Pmem.Image.snapshot image))
         in
-        (* reference: a full device replay capturing the program-prefix
-           crash image at each event's arrival *)
+        (* reference: a full device replay capturing the crash image under
+           the same policy at each event's arrival *)
         let reference = Hashtbl.create np in
         ignore
           (Pmtrace.Replay.replay t ~on_event:(fun device ~pseq e ->
                match e.Pmtrace.Event.op with
                | Pmem.Op.Load _ -> ()
-               | _ ->
-                   Hashtbl.replace reference pseq
-                     (Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix)));
+               | _ -> Hashtbl.replace reference pseq (Pmem.Device.crash device ~policy)));
         unreached = []
         && Hashtbl.length materialized = np
         && List.for_all
