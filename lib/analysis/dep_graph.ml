@@ -72,20 +72,11 @@ type dangling = {
   d_line_persisted : bool;  (** the line has earlier persist nodes *)
 }
 
-type redundancy_kind = Volatile_flush | Clean_flush | Empty_fence
-
-type redundancy = {
-  r_kind : redundancy_kind;
-  r_line : int;  (** 0 for fences *)
-  r_seq_p : int;
-}
-
 type t = {
   nodes : node array;
   edges : edge list;
   chases : chase list;
   dangling : dangling list;
-  redundant : redundancy list;
   epochs : int;  (** number of fences in the trace *)
   events : int;
 }
@@ -94,35 +85,26 @@ type t = {
 (* Builder                                                          *)
 (* ---------------------------------------------------------------- *)
 
-type window = {
-  w_line : int;
-  w_first_store : int;
-  w_first_store_p : int;
-  mutable w_last_store : int;
-  mutable w_last_store_p : int;
-  mutable w_count : int;
-  mutable w_locs : string list;
-  mutable w_deps : (int * int) list;  (* src node id, witness raw seq *)
-  mutable w_flush : (int * int) option;  (* raw seq, persistency index *)
-  mutable w_persisted : bool;  (* durable without a fence: a clflush of its line *)
+(* What a window carries beyond the lifecycle {!Pmtrace.Persist} tracks. *)
+type extra = {
+  mutable locs : string list;
+  mutable deps : (int * int) list;  (* src node id, witness raw seq *)
 }
+
+(* Anchors are raw trace seqs; the walk adds persistency indices. *)
+type window = (int, extra) Pmtrace.Persist.window
 
 let ring_max = 16
 
 type builder = {
   loc_fn : int -> string option;
       (* stable store-location resolver, keyed by persistency index *)
-  mutable pseq : int;
-  mutable epoch : int;
+  walk : (int, extra) Pmtrace.Persist.t;
   mutable next_id : int;
-  pending : (int, window) Hashtbl.t;  (* line -> open window *)
-  mutable ready : window list;  (* captured, awaiting the next fence; newest first *)
   last_persist : (int, int) Hashtbl.t;  (* line -> newest node id *)
-  flush_counts : (int, int) Hashtbl.t;
   mutable nodes_rev : node list;
   mutable edges_rev : edge list;
   mutable chases_rev : chase list;
-  mutable redundant_rev : redundancy list;
   mutable ring : (int * int * int) list;  (* node id, line, raw load seq *)
   mutable prev_load : (int * string * int * int) option;
       (* line, frame path, op_index, raw seq of the previous load *)
@@ -132,17 +114,12 @@ type builder = {
 let create_builder loc_fn =
   {
     loc_fn;
-    pseq = 0;
-    epoch = 0;
+    walk = Pmtrace.Persist.create (fun () -> { locs = []; deps = [] });
     next_id = 0;
-    pending = Hashtbl.create 256;
-    ready = [];
     last_persist = Hashtbl.create 256;
-    flush_counts = Hashtbl.create 256;
     nodes_rev = [];
     edges_rev = [];
     chases_rev = [];
-    redundant_rev = [];
     ring = [];
     prev_load = None;
     events = 0;
@@ -163,129 +140,64 @@ let op_index_of (event : Pmtrace.Event.t) =
   | Some c -> c.Pmtrace.Callstack.op_index
   | None -> 0
 
-let add_store b (event : Pmtrace.Event.t) line =
-  let seq = event.Pmtrace.Event.seq in
-  let w =
-    match Hashtbl.find_opt b.pending line with
-    | Some w -> w
-    | None ->
-        let w =
-          {
-            w_line = line;
-            w_first_store = seq;
-            w_first_store_p = b.pseq;
-            w_last_store = seq;
-            w_last_store_p = b.pseq;
-            w_count = 0;
-            w_locs = [];
-            w_deps = [];
-            w_flush = None;
-            w_persisted = false;
-          }
-        in
-        Hashtbl.replace b.pending line w;
-        w
-  in
-  w.w_last_store <- seq;
-  w.w_last_store_p <- b.pseq;
-  w.w_count <- w.w_count + 1;
-  (match b.loc_fn b.pseq with
-  | Some l when not (List.mem l w.w_locs) -> w.w_locs <- l :: w.w_locs
+(* A store joined window [w]: note its location and the read-after-persist
+   dependencies of the recently loaded persisted lines feeding it. *)
+let add_store b (event : Pmtrace.Event.t) (w : window) =
+  let x = w.Pmtrace.Persist.data in
+  (match b.loc_fn (Pmtrace.Persist.pseq b.walk) with
+  | Some l when not (List.mem l x.locs) -> x.locs <- l :: x.locs
   | None -> (
       match loc_of event with
-      | Some l when not (List.mem l w.w_locs) -> w.w_locs <- l :: w.w_locs
+      | Some l when not (List.mem l x.locs) -> x.locs <- l :: x.locs
       | _ -> ())
   | Some _ -> ());
-  (* read-after-persist dependencies: recently loaded persisted lines feed
-     this window's new content *)
   List.iter
     (fun (src, src_line, witness) ->
-      if src_line <> line && not (List.exists (fun (s, _) -> s = src) w.w_deps) then
-        w.w_deps <- (src, witness) :: w.w_deps)
-    b.ring;
-  w
+      if src_line <> w.Pmtrace.Persist.line && not (List.exists (fun (s, _) -> s = src) x.deps)
+      then x.deps <- (src, witness) :: x.deps)
+    b.ring
 
-let capture_window b line =
-  match Hashtbl.find_opt b.pending line with
-  | None -> ()
-  | Some w ->
-      Hashtbl.remove b.pending line;
-      b.ready <- w :: b.ready
+(* A fence drained window [w]: it becomes a persist node. *)
+let add_node b ~fence_seq (w : window) =
+  let id = b.next_id in
+  b.next_id <- id + 1;
+  let node =
+    {
+      id;
+      line = w.Pmtrace.Persist.line;
+      epoch = Pmtrace.Persist.epoch b.walk;
+      first_store = w.Pmtrace.Persist.first;
+      last_store = w.Pmtrace.Persist.last;
+      store_count = w.Pmtrace.Persist.count;
+      flush = Option.map fst w.Pmtrace.Persist.flush;
+      fence = fence_seq;
+      first_store_p = w.Pmtrace.Persist.first_p;
+      last_store_p = w.Pmtrace.Persist.last_p;
+      flush_p = Option.map snd w.Pmtrace.Persist.flush;
+      fence_p = Pmtrace.Persist.pseq b.walk;
+      locs = List.rev w.Pmtrace.Persist.data.locs;
+    }
+  in
+  b.nodes_rev <- node :: b.nodes_rev;
+  List.iter
+    (fun (src, witness) -> b.edges_rev <- { src; dst = id; witness } :: b.edges_rev)
+    (List.rev w.Pmtrace.Persist.data.deps);
+  Hashtbl.replace b.last_persist w.Pmtrace.Persist.line id
 
 let feed b (event : Pmtrace.Event.t) =
   b.events <- b.events + 1;
-  (match event.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> b.pseq <- b.pseq + 1);
+  let seq = event.Pmtrace.Event.seq in
+  Pmtrace.Persist.tick b.walk event.Pmtrace.Event.op;
   match event.Pmtrace.Event.op with
   | Pmem.Op.Store { addr; size; nt } ->
-      let lines = Pmem.Addr.lines_spanned ~addr ~size in
-      List.iter
-        (fun line ->
-          let _w = add_store b event line in
-          if nt then begin
-            (* non-temporal: buffered until the next fence, no flush needed *)
-            capture_window b line
-          end)
-        lines
-  | Pmem.Op.Flush { kind; line; volatile; dirty } ->
-      if volatile then
-        b.redundant_rev <-
-          { r_kind = Volatile_flush; r_line = line; r_seq_p = b.pseq } :: b.redundant_rev
-      else begin
-        Hashtbl.replace b.flush_counts line
-          (1 + Option.value ~default:0 (Hashtbl.find_opt b.flush_counts line));
-        if not dirty then
-          b.redundant_rev <-
-            { r_kind = Clean_flush; r_line = line; r_seq_p = b.pseq } :: b.redundant_rev;
-        (match Hashtbl.find_opt b.pending line with
-        | Some w ->
-            w.w_flush <- Some (event.Pmtrace.Event.seq, b.pseq);
-            capture_window b line
-        | None -> ());
-        (* clflush is strongly ordered: every captured window of its line is
-           durable right here, without waiting for a fence *)
-        if kind = Pmem.Op.Clflush then
-          List.iter (fun w -> if w.w_line = line then w.w_persisted <- true) b.ready
-      end
-  | Pmem.Op.Fence { pending_flushes; pending_nt; _ } ->
-      if pending_flushes = 0 && pending_nt = 0 then
-        b.redundant_rev <-
-          { r_kind = Empty_fence; r_line = 0; r_seq_p = b.pseq } :: b.redundant_rev;
-      let fence_seq = event.Pmtrace.Event.seq in
-      List.iter
-        (fun w ->
-          let id = b.next_id in
-          b.next_id <- id + 1;
-          let node =
-            {
-              id;
-              line = w.w_line;
-              epoch = b.epoch;
-              first_store = w.w_first_store;
-              last_store = w.w_last_store;
-              store_count = w.w_count;
-              flush = Option.map fst w.w_flush;
-              fence = fence_seq;
-              first_store_p = w.w_first_store_p;
-              last_store_p = w.w_last_store_p;
-              flush_p = Option.map snd w.w_flush;
-              fence_p = b.pseq;
-              locs = List.rev w.w_locs;
-            }
-          in
-          b.nodes_rev <- node :: b.nodes_rev;
-          List.iter
-            (fun (src, witness) ->
-              b.edges_rev <- { src; dst = id; witness } :: b.edges_rev)
-            (List.rev w.w_deps);
-          Hashtbl.replace b.last_persist w.w_line id)
-        (List.rev b.ready);
-      b.ready <- [];
-      b.epoch <- b.epoch + 1
+      Pmtrace.Persist.store b.walk seq ~addr ~size ~nt (add_store b event)
+  | Pmem.Op.Flush { kind; line; volatile; _ } ->
+      ignore (Pmtrace.Persist.flush b.walk seq ~kind ~line ~volatile)
+  | Pmem.Op.Fence _ -> Pmtrace.Persist.fence b.walk (add_node b ~fence_seq:seq)
   | Pmem.Op.Load { addr; size } -> (
       match Pmem.Addr.lines_spanned ~addr ~size with
       | [] -> ()
       | line :: _ ->
-          let seq = event.Pmtrace.Event.seq in
           let path = path_of event and idx = op_index_of event in
           (* pointer chase: the previous load (same frame activation) read a
              persisted line, and this load dereferences into another line *)
@@ -298,7 +210,7 @@ let feed b (event : Pmtrace.Event.t) =
                     match Hashtbl.find_opt b.last_persist line with
                     | Some id -> Persisted id
                     | None ->
-                        if Hashtbl.mem b.pending line then Dirty_window else Unknown
+                        if Pmtrace.Persist.dirty b.walk line then Dirty_window else Unknown
                   in
                   if c_dst <> Unknown then
                     b.chases_rev <-
@@ -307,7 +219,7 @@ let feed b (event : Pmtrace.Event.t) =
                         c_dst;
                         c_dst_line = line;
                         c_seq = seq;
-                        c_seq_p = b.pseq;
+                        c_seq_p = Pmtrace.Persist.pseq b.walk;
                         c_paths = (ppath, path);
                       }
                       :: b.chases_rev
@@ -324,22 +236,22 @@ let feed b (event : Pmtrace.Event.t) =
 
 let finish b =
   let nodes = Array.of_list (List.rev b.nodes_rev) in
-  let dangling_of w flushed =
+  let dangling_of (w : window) =
     {
-      d_line = w.w_line;
-      d_first_store_p = w.w_first_store_p;
-      d_last_store_p = w.w_last_store_p;
-      d_flush_p = (if flushed then Option.map snd w.w_flush else None);
-      d_locs = List.rev w.w_locs;
-      d_line_flushed = Hashtbl.mem b.flush_counts w.w_line;
-      d_line_persisted = Hashtbl.mem b.last_persist w.w_line;
+      d_line = w.Pmtrace.Persist.line;
+      d_first_store_p = w.Pmtrace.Persist.first_p;
+      d_last_store_p = w.Pmtrace.Persist.last_p;
+      d_flush_p = Option.map snd w.Pmtrace.Persist.flush;
+      d_locs = List.rev w.Pmtrace.Persist.data.locs;
+      d_line_flushed = Pmtrace.Persist.flushes b.walk w.Pmtrace.Persist.line > 0;
+      d_line_persisted = Hashtbl.mem b.last_persist w.Pmtrace.Persist.line;
     }
   in
   let dangling =
     List.filter_map
-      (fun w -> if w.w_persisted then None else Some (dangling_of w true))
-      (List.rev b.ready)
-    @ (Hashtbl.fold (fun _ w acc -> dangling_of w false :: acc) b.pending []
+      (fun (w : window) -> if w.Pmtrace.Persist.persisted then None else Some (dangling_of w))
+      (Pmtrace.Persist.unfenced b.walk)
+    @ (Pmtrace.Persist.fold_open b.walk (fun w acc -> dangling_of w :: acc) []
       |> List.sort (fun a b -> compare a.d_first_store_p b.d_first_store_p))
   in
   {
@@ -347,8 +259,7 @@ let finish b =
     edges = List.rev b.edges_rev;
     chases = List.rev b.chases_rev;
     dangling;
-    redundant = List.rev b.redundant_rev;
-    epochs = b.epoch;
+    epochs = Pmtrace.Persist.epoch b.walk;
     events = b.events;
   }
 
@@ -438,6 +349,6 @@ let check t =
   List.rev !problems
 
 let pp ppf t =
-  Fmt.pf ppf "dep graph: %d persists over %d epochs, %d edges, %d chases, %d dangling, %d redundant"
+  Fmt.pf ppf "dep graph: %d persists over %d epochs, %d edges, %d chases, %d dangling"
     (Array.length t.nodes) t.epochs (List.length t.edges) (List.length t.chases)
-    (List.length t.dangling) (List.length t.redundant)
+    (List.length t.dangling)

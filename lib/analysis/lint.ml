@@ -5,9 +5,11 @@
     {!Fix.t}, and the estimated cost of leaving it in place.
 
     Lint needs no invariant mining and no load-traced recording, so it runs
-    off a single execution; where its detectors overlap the dependency-graph
-    redundancies ({!Dep_graph.redundancy}) the report-level deduplication
-    (same kind, same code path) merges the two.
+    off a single execution. It follows the line lifecycle with
+    {!Pmtrace.Persist} and decides which flushes and fences do no work
+    with {!Pmtrace.Persist.waste}, the rule the trace analysis applies to
+    every dynamic instance; the report-level deduplication (same kind,
+    same code path) merges the two, and lint's site-level delete fix wins.
 
     The trace should carry device-accurate metadata (flush [dirty] bits,
     fence pending counts): recorded traces do by construction, rewritten
@@ -118,9 +120,7 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
   let redundant_flushes = ref 0
   and redundant_fences = ref 0
   and missing = ref 0
-  and flushes = ref 0
-  and fences = ref 0
-  and epochs = ref 0 in
+  and flushes = ref 0 in
   let add ?fix ~line ~cycles ~events:ev_saved kind pseq stack detail =
     (match fix with
     | Some { Fix.action = Fix.Delete_flush _; seq; stack = fstack; _ } ->
@@ -155,115 +155,75 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
             l_events = ev_saved;
           }
   in
-  (* per-line volatile-cache mirror: Some (pseq, stack) = dirty since that
-     store; cleared when a flush captures the line *)
-  let dirty = Hashtbl.create 256 in
-  (* capture-flushes of this epoch that a fence has not drained yet:
-     line -> (pseq, stack) of the capturing clflushopt/clwb *)
-  let captured = Hashtbl.create 64 in
-  (* lines written non-temporally this epoch *)
-  let nt_lines = Hashtbl.create 16 in
-  (* dirty stores issued since the last fence: line -> (pseq, stack) *)
-  let epoch_stores = Hashtbl.create 64 in
-  let pseq = ref 0 in
+  (* the lifecycle, anchored at call stacks *)
+  let walk = Pmtrace.Persist.create ignore in
   List.iter
     (fun (e : Pmtrace.Event.t) ->
-      (match e.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
-      let p = !pseq in
-      let stack = e.Pmtrace.Event.stack in
-      match e.Pmtrace.Event.op with
+      let op = e.Pmtrace.Event.op and stack = e.Pmtrace.Event.stack in
+      Pmtrace.Persist.tick walk op;
+      let p = Pmtrace.Persist.pseq walk in
+      match op with
       | Pmem.Op.Load _ -> ()
       | Pmem.Op.Store { addr; size; nt } ->
-          List.iter
-            (fun line ->
-              if nt then Hashtbl.replace nt_lines line ()
-              else begin
-                Hashtbl.replace dirty line (p, stack);
-                Hashtbl.replace epoch_stores line (p, stack)
-              end)
-            (Pmem.Addr.lines_spanned ~addr ~size)
-      | Pmem.Op.Flush { kind; line; dirty = was_dirty; volatile } ->
+          Pmtrace.Persist.store walk stack ~addr ~size ~nt ignore
+      | Pmem.Op.Flush { kind; line; volatile; _ } -> (
+          let overwritten = Pmtrace.Persist.flush walk stack ~kind ~line ~volatile in
           incr flushes;
           bump instance_totals (site_key "F" stack p);
-          if volatile then
-            add
-              ~fix:
-                {
-                  Fix.action = Fix.Delete_flush { line };
-                  seq = p;
-                  stack;
-                  rationale = "the flushed address is not in the PM pool";
-                }
-              ~line ~cycles:flush_cycles ~events:1 Unnecessary_flush p stack
-              (Printf.sprintf "flush of volatile address (line %d)" line)
-          else if not was_dirty then
-            if Hashtbl.mem nt_lines line then
+          let delete rationale =
+            { Fix.action = Fix.Delete_flush { line }; seq = p; stack; rationale }
+          in
+          match (Pmtrace.Persist.waste op, overwritten) with
+          | Some Pmtrace.Persist.Volatile_flush, _ ->
+              add
+                ~fix:(delete "the flushed address is not in the PM pool")
+                ~line ~cycles:flush_cycles ~events:1 Unnecessary_flush p stack
+                (Printf.sprintf "flush of volatile address (line %d)" line)
+          | Some _, _ when Pmtrace.Persist.nt_pending walk line ->
               add
                 ~fix:
-                  {
-                    Fix.action = Fix.Delete_flush { line };
-                    seq = p;
-                    stack;
-                    rationale = "non-temporal stores bypass the cache; the fence alone persists them";
-                  }
+                  (delete
+                     "non-temporal stores bypass the cache; the fence alone persists them")
                 ~line ~cycles:flush_cycles ~events:1 Nt_flush_misuse p stack
                 (Printf.sprintf "flush of line %d written only non-temporally this epoch" line)
-            else
+          | Some _, _ ->
               add
-                ~fix:
-                  {
-                    Fix.action = Fix.Delete_flush { line };
-                    seq = p;
-                    stack;
-                    rationale = "the line holds no unpersisted stores";
-                  }
+                ~fix:(delete "the line holds no unpersisted stores")
                 ~line ~cycles:flush_cycles ~events:1 Unnecessary_flush p stack
                 (Printf.sprintf "line %d flushed with nothing written since its last flush" line)
-          else begin
-            (* dirty flush: did it overwrite a capture from this same epoch? *)
-            (match Hashtbl.find_opt captured line with
-            | Some (first_p, first_stack) ->
-                (* no fix when both flushes are dynamic instances of the same
-                   instruction (a flush in a loop): deleting that source line
-                   would delete the live second capture too — the repair is a
-                   restructuring this tool cannot express as a trace edit *)
-                let same_site =
-                  match (first_stack, stack) with
-                  | Some a, Some b ->
-                      Pmtrace.Callstack.capture_to_string a
-                      = Pmtrace.Callstack.capture_to_string b
-                  | _ -> false
-                in
-                let fix =
-                  if same_site then None
-                  else
-                    Some
-                      {
-                        Fix.action = Fix.Delete_flush { line };
-                        seq = first_p;
-                        stack = first_stack;
-                        rationale =
-                          "a later flush of the same line re-captures it before any fence \
-                           drains this one";
-                      }
-                in
-                add ?fix ~line ~cycles:flush_cycles ~events:1 Duplicate_flush first_p
-                  first_stack
-                  (Printf.sprintf
-                     "line %d flushed at #%d and again at #%d with no fence between: the first \
-                      capture is dead"
-                     line first_p p)
-            | None -> ());
-            Hashtbl.remove dirty line;
-            match kind with
-            | Pmem.Op.Clflush ->
-                (* persists immediately: not a capture a later flush can kill *)
-                Hashtbl.remove captured line
-            | Pmem.Op.Clflushopt | Pmem.Op.Clwb -> Hashtbl.replace captured line (p, stack)
-          end
-      | Pmem.Op.Fence { kind; pending_flushes; pending_nt } ->
-          incr fences;
-          incr epochs;
+          | None, Some first ->
+              (* this capture overwrites one of the same epoch *)
+              let first_stack, first_p = Option.get first.Pmtrace.Persist.flush in
+              (* no fix when both flushes are dynamic instances of the same
+                 instruction (a flush in a loop): deleting that source line
+                 would delete the live second capture too — the repair is a
+                 restructuring this tool cannot express as a trace edit *)
+              let same_site =
+                match (first_stack, stack) with
+                | Some a, Some b ->
+                    Pmtrace.Callstack.capture_to_string a = Pmtrace.Callstack.capture_to_string b
+                | _ -> false
+              in
+              let fix =
+                if same_site then None
+                else
+                  Some
+                    {
+                      Fix.action = Fix.Delete_flush { line };
+                      seq = first_p;
+                      stack = first_stack;
+                      rationale =
+                        "a later flush of the same line re-captures it before any fence \
+                         drains this one";
+                    }
+              in
+              add ?fix ~line ~cycles:flush_cycles ~events:1 Duplicate_flush first_p first_stack
+                (Printf.sprintf
+                   "line %d flushed at #%d and again at #%d with no fence between: the first \
+                    capture is dead"
+                   line first_p p)
+          | None, None -> ())
+      | Pmem.Op.Fence _ ->
           bump instance_totals (site_key "N" stack p);
           (* missing-flush hot spots: lines stored to this epoch, still dirty
              here, never flushed later — though the program knows how to
@@ -271,11 +231,10 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
              visible stores are durable without flushes. *)
           let spots = ref [] in
           if not eadr then
-            Hashtbl.iter
-              (fun line (sp, sstack) ->
-                if Hashtbl.mem dirty line && (not (flushed_after line p)) && ever_flushed line
-                then spots := (line, sp, sstack) :: !spots)
-              epoch_stores;
+            Pmtrace.Persist.stranded walk (fun w ->
+                let line = w.Pmtrace.Persist.line in
+                if (not (flushed_after line p)) && ever_flushed line then
+                  spots := (line, w.Pmtrace.Persist.last_p, w.Pmtrace.Persist.last) :: !spots);
           let spots = List.sort compare !spots in
           (* the spot is anchored at the store that dirtied the line, not at
              the fence: the store is where the flush belongs, its identity
@@ -298,10 +257,7 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
                     never flushed afterwards, though the program flushes it elsewhere"
                    line sp p))
             spots;
-          if
-            kind <> Pmem.Op.Rmw && pending_flushes = 0 && pending_nt = 0
-            && spots = []
-          then
+          if Pmtrace.Persist.waste op = Some Pmtrace.Persist.Empty_fence && spots = [] then
             add
               ~fix:
                 {
@@ -312,9 +268,7 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
                 }
               ~line:0 ~cycles:fence_cycles ~events:1 Redundant_fence p stack
               "fence with no pending flushes or NT stores";
-          Hashtbl.reset captured;
-          Hashtbl.reset nt_lines;
-          Hashtbl.reset epoch_stores)
+          Pmtrace.Persist.fence walk ignore)
     events;
   let deletable (fx : Fix.t) =
     let key shape = site_key shape fx.Fix.stack fx.Fix.seq in
@@ -349,9 +303,9 @@ let analyze ?(eadr = false) (events : Pmtrace.Event.t list) =
   {
     findings;
     events = !n_events;
-    epochs = !epochs;
+    epochs = Pmtrace.Persist.epoch walk;
     flushes = !flushes;
-    fences = !fences;
+    fences = Pmtrace.Persist.epoch walk;
     redundant_flushes = !redundant_flushes;
     redundant_fences = !redundant_fences;
     missing_flush_spots = !missing;

@@ -8,25 +8,23 @@
     pointer chases, whose seqs are normalized back to persistency-index
     coordinates). The dependency graphs of all runs feed the likely-
     invariant miner; the subject graph (run 0) is then scanned for
-    instances that break an accepted invariant, for store windows that
-    never reached durability, and for persistency instructions that do no
-    work — each finding carrying a concrete {!Fix.t} when one exists. *)
+    instances that break an accepted invariant and for store windows that
+    never reached durability — each finding carrying a concrete {!Fix.t}
+    when one exists. Persistency instructions that do no work are left to
+    the trace analysis, which reports every one of them, and to {!Lint},
+    whose delete fixes are sound for every dynamic instance of a site. *)
 
 type kind =
   | Durability  (** correctness: a store window never reached durability *)
   | Transient  (** its line is never flushed at all — PM as transient data? *)
   | Ordering  (** a persist-order hazard witnessed by a dependence *)
   | Atomicity  (** an accepted atomicity invariant was split by a fence *)
-  | Redundant_flush
-  | Redundant_fence
 
 let kind_to_string = function
   | Durability -> "durability"
   | Transient -> "transient"
   | Ordering -> "ordering"
   | Atomicity -> "atomicity"
-  | Redundant_flush -> "redundant flush"
-  | Redundant_fence -> "redundant fence"
 
 type finding = {
   kind : kind;
@@ -78,8 +76,6 @@ let kind_rank = function
   | Transient -> 1
   | Ordering -> 2
   | Atomicity -> 3
-  | Redundant_flush -> 4
-  | Redundant_fence -> 5
 
 (** [analyze ~support ~confidence ~eadr runs] — each run is
     [(load_free_events, load_traced_events)] of one recorded execution of
@@ -357,30 +353,6 @@ let analyze ?invariants ~support ~confidence ~eadr
                  ap.Invariants.a_loc1 ap.Invariants.a_loc2 ap.Invariants.a_co
                  (Invariants.a_confidence ap) ap.Invariants.a_split))
     invariants.Invariants.atomic_pairs;
-  (* ---- persistency instructions that do no work ---- *)
-  List.iter
-    (fun (r : Dep_graph.redundancy) ->
-      match r.Dep_graph.r_kind with
-      | Dep_graph.Volatile_flush ->
-          add
-            ~fix:
-              (fix (Fix.Delete_flush { line = r.Dep_graph.r_line }) r.Dep_graph.r_seq_p
-                 "the flushed address is not in the PM pool")
-            Redundant_flush r.Dep_graph.r_seq_p
-            (Printf.sprintf "flush of volatile address (line %d)" r.Dep_graph.r_line)
-      | Dep_graph.Clean_flush ->
-          add
-            ~fix:
-              (fix (Fix.Delete_flush { line = r.Dep_graph.r_line }) r.Dep_graph.r_seq_p
-                 "the line holds no unpersisted stores")
-            Redundant_flush r.Dep_graph.r_seq_p
-            (Printf.sprintf "line %d flushed with nothing written since its last flush"
-               r.Dep_graph.r_line)
-      | Dep_graph.Empty_fence ->
-          add
-            ~fix:(fix Fix.Delete_fence r.Dep_graph.r_seq_p "no flush or NT store to drain")
-            Redundant_fence r.Dep_graph.r_seq_p "fence with no pending flushes or NT stores")
-    g.Dep_graph.redundant;
   (* Deterministic findings order: invariant tables iterate in hash order,
      so emission order can drift across runs — sort by (anchor, kind,
      detail) instead. *)

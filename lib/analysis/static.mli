@@ -7,8 +7,6 @@ type kind =
   | Transient  (** its line is never flushed at all — PM as transient data? *)
   | Ordering  (** a persist-order hazard witnessed by a dependence *)
   | Atomicity  (** an accepted atomicity invariant was split by a fence *)
-  | Redundant_flush
-  | Redundant_fence
 
 val kind_to_string : kind -> string
 

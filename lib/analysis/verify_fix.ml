@@ -197,7 +197,7 @@ let static_keys ~correctness_only (s : Static.t) =
       let corr =
         match f.Static.kind with
         | Static.Durability | Static.Ordering | Static.Atomicity -> true
-        | Static.Transient | Static.Redundant_flush | Static.Redundant_fence -> false
+        | Static.Transient -> false
       in
       if correctness_only && not corr then acc
       else

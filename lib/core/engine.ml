@@ -67,9 +67,7 @@ let of_static (f : Analysis.Static.finding) =
     | Analysis.Static.Durability -> Report.Durability_bug
     | Analysis.Static.Transient -> Report.Transient_data_warning
     | Analysis.Static.Ordering -> Report.Ordering_violation
-    | Analysis.Static.Atomicity -> Report.Atomicity_violation
-    | Analysis.Static.Redundant_flush -> Report.Redundant_flush
-    | Analysis.Static.Redundant_fence -> Report.Redundant_fence)
+    | Analysis.Static.Atomicity -> Report.Atomicity_violation)
     f.Analysis.Static.detail
 
 (* Abstract findings live on merged paths no single recording need have

@@ -10,11 +10,18 @@
     + a flush capturing more than one store — a possible performance bug,
       reported as a warning (whether one flush suffices depends on memory
       arrangement);
-    + a fence with no pending flushes or non-temporal stores — a
-      redundant-fence performance bug;
+    + an sfence/mfence with no pending flushes or non-temporal stores — a
+      redundant-fence performance bug (an RMW's implicit fence cannot be
+      deleted, so it is never one);
     + a fence draining more than one flush/non-temporal store — the persist
       order among them is unconstrained; reported as a warning because
       exploring those orderings is deliberately out of scope.
+
+    Patterns 2 and 4 are {!Pmtrace.Persist.waste}, the one redundancy rule
+    the offline analyses share. The durability patterns keep their own
+    8-byte slot table: their findings are slot-granular, and the pass runs
+    on every verdict, where the window-granular {!Pmtrace.Persist} walk
+    would cost more for no finding it could add.
 
     The analysis is streaming: [feed] consumes events as the instrumented
     run produces them, so the trace need not be stored. Findings carry the
@@ -86,35 +93,38 @@ let feed t (event : Pmtrace.Event.t) =
             let ls = line_state t line in
             ls.stores_since_flush <- ls.stores_since_flush + 1)
           (Pmem.Addr.lines_spanned ~addr ~size)
-  | Pmem.Op.Flush { kind; line; volatile; _ } ->
-      if volatile then
-        report t Report.Redundant_flush seq
-          (Printf.sprintf "flush of volatile address (line %d)" line)
-      else begin
-        let ls = line_state t line in
-        ls.flush_count <- ls.flush_count + 1;
-        if ls.stores_since_flush = 0 then
+  | Pmem.Op.Flush { kind; line; _ } as op -> (
+      match Pmtrace.Persist.waste op with
+      | Some Pmtrace.Persist.Volatile_flush ->
           report t Report.Redundant_flush seq
-            (Printf.sprintf "line %d flushed with nothing written since its last flush" line)
-        else if ls.stores_since_flush > 1 then
-          report t Report.Multi_store_flush_warning seq
-            (Printf.sprintf "one flush of line %d covers %d stores" line ls.stores_since_flush);
-        (* clflush is strongly ordered: the line's unpersisted slots persist
-           right here. clflushopt/clwb capture its dirty slots, which
-           persist at the next fence. *)
-        let lo = Pmem.Addr.line_base line / Pmem.Addr.atomic_size in
-        for slot = lo to lo + (Pmem.Addr.line_size / Pmem.Addr.atomic_size) - 1 do
-          match (kind, Hashtbl.find_opt t.slots slot) with
-          | Pmem.Op.Clflush, Some _ -> Hashtbl.remove t.slots slot
-          | (Pmem.Op.Clflushopt | Pmem.Op.Clwb), Some (Dirty, sseq) ->
-              Hashtbl.replace t.slots slot (Captured, sseq);
-              t.captured_slots <- slot :: t.captured_slots
-          | _, (Some (Captured, _) | None) -> ()
-        done;
-        ls.stores_since_flush <- 0
-      end
-  | Pmem.Op.Fence { pending_flushes; pending_nt; _ } ->
-      if pending_flushes = 0 && pending_nt = 0 then
+            (Printf.sprintf "flush of volatile address (line %d)" line)
+      | waste ->
+          let ls = line_state t line in
+          ls.flush_count <- ls.flush_count + 1;
+          (match waste with
+          | Some _ ->
+              report t Report.Redundant_flush seq
+                (Printf.sprintf "line %d flushed with nothing written since its last flush" line)
+          | None ->
+              if ls.stores_since_flush > 1 then
+                report t Report.Multi_store_flush_warning seq
+                  (Printf.sprintf "one flush of line %d covers %d stores" line
+                     ls.stores_since_flush));
+          (* clflush is strongly ordered: the line's unpersisted slots persist
+             right here. clflushopt/clwb capture its dirty slots, which
+             persist at the next fence. *)
+          let lo = Pmem.Addr.line_base line / Pmem.Addr.atomic_size in
+          for slot = lo to lo + (Pmem.Addr.line_size / Pmem.Addr.atomic_size) - 1 do
+            match (kind, Hashtbl.find_opt t.slots slot) with
+            | Pmem.Op.Clflush, Some _ -> Hashtbl.remove t.slots slot
+            | (Pmem.Op.Clflushopt | Pmem.Op.Clwb), Some (Dirty, sseq) ->
+                Hashtbl.replace t.slots slot (Captured, sseq);
+                t.captured_slots <- slot :: t.captured_slots
+            | _, (Some (Captured, _) | None) -> ()
+          done;
+          ls.stores_since_flush <- 0)
+  | Pmem.Op.Fence { pending_flushes; pending_nt; _ } as op ->
+      if Pmtrace.Persist.waste op = Some Pmtrace.Persist.Empty_fence then
         report t Report.Redundant_fence seq "fence with no pending flushes or NT stores"
       else if pending_flushes + pending_nt > 1 then
         report t Report.Unordered_flushes_warning seq

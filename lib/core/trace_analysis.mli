@@ -5,9 +5,11 @@
     - a store never explicitly persisted → durability bug if its address is
       ever flushed during the execution, otherwise a transient-data warning
       (both suppressed under {!Config.t.eadr});
-    - a flush of a volatile address or of a clean line → redundant flush;
+    - a flush of a volatile address or of a clean line → redundant flush
+      ({!Pmtrace.Persist.waste});
     - a flush capturing more than one store → warning;
-    - a fence with nothing pending → redundant fence;
+    - an sfence/mfence with nothing pending → redundant fence (likewise;
+      an RMW's implicit fence never is);
     - a fence draining more than one flush/NT store → unordered-persist
       warning (the reorderings Mumak deliberately does not explore). *)
 

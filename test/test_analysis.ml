@@ -77,6 +77,39 @@ let test_graph_clflush_not_dangling () =
     (dangling [ Pmem.Op.Clwb; Pmem.Op.Clflush ]);
   Alcotest.(check int) "clwb-captured window still dangles" 1 (dangling [ Pmem.Op.Clwb ])
 
+(* An NT store bypasses the cache: it persists at the fence in a window
+   of its own and leaves the line's earlier cached store dirty. *)
+let test_nt_store_leaves_cached_store_dirty () =
+  let events =
+    Pmtrace.Replay.normalize_events ~pool_size:4096
+      (events_of_ops
+         [
+           Pmem.Op.Store { addr = 0; size = 8; nt = false };
+           Pmem.Op.Store { addr = 8; size = 8; nt = true };
+           Pmem.Op.Fence { kind = Pmem.Op.Sfence; pending_flushes = 0; pending_nt = 0 };
+         ])
+  in
+  let g = Analysis.Dep_graph.build events in
+  Alcotest.(check (list (pair int (option int))))
+    "one NT persist" [ (1, None) ]
+    (List.map
+       (fun (n : Analysis.Dep_graph.node) -> (n.Analysis.Dep_graph.store_count, n.Analysis.Dep_graph.flush))
+       (Array.to_list g.Analysis.Dep_graph.nodes));
+  Alcotest.(check (list (pair int int)))
+    "the cached store dangles" [ (0, 1) ]
+    (List.map
+       (fun (d : Analysis.Dep_graph.dangling) ->
+         (d.Analysis.Dep_graph.d_line, d.Analysis.Dep_graph.d_first_store_p))
+       g.Analysis.Dep_graph.dangling);
+  let s =
+    Analysis.Static.analyze ~support:3 ~confidence:0.9 ~eadr:false [ (events, events) ]
+  in
+  Alcotest.(check (list string))
+    "static reports it" [ "transient" ]
+    (List.map
+       (fun (f : Analysis.Static.finding) -> Analysis.Static.kind_to_string f.Analysis.Static.kind)
+       s.Analysis.Static.findings)
+
 let test_graph_check_recorded () =
   List.iter
     (fun name ->
@@ -422,6 +455,8 @@ let () =
           qt prop_graph_check_synthetic;
           Alcotest.test_case "lone clflushed window is not dangling" `Quick
             test_graph_clflush_not_dangling;
+          Alcotest.test_case "NT store leaves the cached store dirty" `Quick
+            test_nt_store_leaves_cached_store_dirty;
           Alcotest.test_case "recorded traces pass structural checks" `Quick
             test_graph_check_recorded;
           Alcotest.test_case "epoch groups are monotone" `Quick test_graph_epochs_monotone;

@@ -232,6 +232,21 @@ let prop_lint_clean_silent =
       let l = lint_of_blocks (List.map (fun s -> (Clean, s)) slots) in
       l.Analysis.Lint.findings = [])
 
+(* A clflush persists its line at once, draining a pending clwb capture:
+   the next capture of the line overwrites nothing. *)
+let test_lint_clflush_drains_capture () =
+  let store = Pmem.Op.Store { addr = 0; size = 8; nt = false } in
+  let flush kind = Pmem.Op.Flush { kind; line = 0; dirty = true; volatile = false } in
+  let fence = Pmem.Op.Fence { kind = Pmem.Op.Sfence; pending_flushes = 0; pending_nt = 0 } in
+  let ops =
+    [ store; flush Pmem.Op.Clwb; flush Pmem.Op.Clflush; store; flush Pmem.Op.Clwb; fence ]
+  in
+  let events = List.mapi (fun i op -> { Pmtrace.Event.seq = i + 1; op; stack = None }) ops in
+  let l =
+    Analysis.Lint.analyze (Pmtrace.Replay.normalize_events ~pool_size:(1 lsl 16) events)
+  in
+  Alcotest.(check int) "no duplicate flush" 0 (count_kind l Analysis.Lint.Duplicate_flush)
+
 (* --- rewrite structural properties --------------------------------- *)
 
 let prop_rewrite_renumber =
@@ -315,7 +330,13 @@ let () =
       ( "differential",
         [ Alcotest.test_case "replay equals live j=1" `Slow test_replay_differential ] );
       ( "lint",
-        [ qt prop_lint_plants; qt prop_lint_clean_silent; qt prop_rewrite_renumber ] );
+        [
+          qt prop_lint_plants;
+          qt prop_lint_clean_silent;
+          qt prop_rewrite_renumber;
+          Alcotest.test_case "clflush drains a pending capture" `Quick
+            test_lint_clflush_drains_capture;
+        ] );
       ( "verdicts",
         [
           Alcotest.test_case "seeded missing flush proven" `Slow test_seeded_missing_flush_proven;

@@ -99,6 +99,26 @@ let expose bug variant () =
         true
         (Mumak.Report.correctness_bugs result.Mumak.Engine.report <> []))
 
+(* The lock-free table's CAS fences drain nothing, but deleting one would
+   delete its CAS: only the close path's empty sfence is redundant. *)
+let test_lf_cas_fences_not_redundant () =
+  Bugreg.disable_all ();
+  let target =
+    Targets.of_montage ~variant:`Lockfree
+      ~workload:(Workload.standard ~ops:600 ~key_range:200 ~seed:42L)
+      ()
+  in
+  let report = (Mumak.Engine.analyze target).Mumak.Engine.report in
+  let sites =
+    List.filter_map
+      (fun (f : Mumak.Report.finding) ->
+        if f.Mumak.Report.kind = Mumak.Report.Redundant_fence then
+          Option.map Pmtrace.Callstack.capture_to_string f.Mumak.Report.stack
+        else None)
+      (Mumak.Report.findings report)
+  in
+  Alcotest.(check (list string)) "redundant fence sites" [ "_start > montage_lf.close @1" ] sites
+
 let () =
   Alcotest.run "montage"
     [
@@ -114,6 +134,8 @@ let () =
         [
           Alcotest.test_case "hashtable sweep" `Slow (sweep `Buffered);
           Alcotest.test_case "lf sweep" `Slow (sweep `Lockfree);
+          Alcotest.test_case "lf CAS fences are not redundant" `Slow
+            test_lf_cas_fences_not_redundant;
         ] );
       ( "new-bugs (paper 6.4)",
         [

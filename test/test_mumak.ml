@@ -136,6 +136,22 @@ let prop_ta_eadr_silences_pattern1 =
       in
       ta_run ~config:{ Mumak.Config.default with Mumak.Config.eadr = true } ops = [])
 
+(* The fence half of a read-modify-write cannot be deleted without the
+   RMW, so an RMW with nothing pending is not a redundant fence; an empty
+   sfence still is. *)
+let test_ta_rmw_fence_not_redundant () =
+  let redundant_fences ops =
+    List.length
+      (List.filter
+         (fun (r : Mumak.Trace_analysis.raw) ->
+           r.Mumak.Trace_analysis.kind = Mumak.Report.Redundant_fence)
+         (ta_run ops))
+  in
+  let store = Pmem.Op.Store { addr = 0; size = 8; nt = false } in
+  let fence kind = Pmem.Op.Fence { kind; pending_flushes = 0; pending_nt = 0 } in
+  Alcotest.(check int) "cas with nothing pending" 0 (redundant_fences [ store; fence Pmem.Op.Rmw ]);
+  Alcotest.(check int) "empty sfence" 1 (redundant_fences [ fence Pmem.Op.Sfence ])
+
 (* --- clean builds: no correctness findings --- *)
 
 let clean_apps =
@@ -326,6 +342,10 @@ let () =
             prop_ta_missing_fence_is_flagged;
             prop_ta_unflushed_store_is_transient_or_durability;
             prop_ta_eadr_silences_pattern1;
+          ]
+        @ [
+            Alcotest.test_case "RMW fence is never redundant" `Quick
+              test_ta_rmw_fence_not_redundant;
           ] );
       ( "clean",
         [ Alcotest.test_case "no correctness false positives" `Slow

@@ -91,6 +91,106 @@ let prop_capture_identity =
       && Callstack.capture_compare a b = 0
       && Callstack.capture_hash a = Callstack.capture_hash b)
 
+(* --- the persistency walk against the device --------------------- *)
+
+type dev_op =
+  | St of int * int  (* addr, size *)
+  | St_nt of int  (* slot *)
+  | Fl of Pmem.Op.flush_kind * int  (* kind, addr; past the pool = volatile *)
+  | Sf
+  | Mf
+  | Cas of int  (* slot *)
+
+let pool = 4 * Pmem.Addr.line_size
+
+let dev_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun a n -> St (a, n)) (int_bound (pool - 16)) (int_range 1 16));
+        (2, map (fun s -> St_nt s) (int_bound ((pool / 8) - 1)));
+        ( 4,
+          map2
+            (fun k a -> Fl (k, a))
+            (oneofl [ Pmem.Op.Clflush; Pmem.Op.Clflushopt; Pmem.Op.Clwb ])
+            (int_bound (pool + 64)) );
+        (2, return Sf);
+        (1, return Mf);
+        (1, map (fun s -> Cas s) (int_bound ((pool / 8) - 1)));
+      ])
+
+(* The device's own events for a program: their [dirty] bits and pending
+   counts are the reference the walk is checked against. *)
+let device_ops prog =
+  let d = Pmem.Device.create ~size:pool () in
+  let ops = ref [] in
+  Pmem.Device.set_hook d (Some (fun op -> ops := op :: !ops));
+  List.iter
+    (function
+      | St (addr, n) -> Pmem.Device.store d ~addr (Bytes.make n 'x')
+      | St_nt s -> Pmem.Device.store_nt_i64 d ~addr:(s * 8) 7L
+      | Fl (Pmem.Op.Clflush, addr) -> Pmem.Device.clflush d ~addr
+      | Fl (Pmem.Op.Clflushopt, addr) -> Pmem.Device.clflushopt d ~addr
+      | Fl (Pmem.Op.Clwb, addr) -> Pmem.Device.clwb d ~addr
+      | Sf -> Pmem.Device.sfence d
+      | Mf -> Pmem.Device.mfence d
+      | Cas s -> ignore (Pmem.Device.cas d ~addr:(s * 8) ~expected:0L ~desired:1L))
+    prog;
+  List.rev !ops
+
+(* Where the walk and the device disagree on one program, if anywhere. *)
+let walk_disagreement ops =
+  let walk = Persist.create ignore in
+  let problem = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !problem = None then problem := Some m) fmt in
+  List.iteri
+    (fun i op ->
+      Persist.tick walk op;
+      match op with
+      | Pmem.Op.Load _ -> ()
+      | Pmem.Op.Store { addr; size; nt } -> Persist.store walk i ~addr ~size ~nt ignore
+      | Pmem.Op.Flush { kind; line; dirty; volatile } ->
+          let captures = (not volatile) && Persist.dirty walk line in
+          ignore (Persist.flush walk i ~kind ~line ~volatile);
+          if (not volatile) && captures <> dirty then
+            fail "#%d: flush of line %d captures=%b but the device says dirty=%b" i line
+              captures dirty
+      | Pmem.Op.Fence { pending_flushes; pending_nt; _ } ->
+          let lines = ref [] and nts = ref 0 in
+          Persist.fence walk (fun w ->
+              if w.Persist.nt then incr nts
+              else if not w.Persist.persisted then
+                if not (List.mem w.Persist.line !lines) then lines := w.Persist.line :: !lines);
+          if List.length !lines > pending_flushes then
+            fail "#%d: fence drains %d captured lines, device has %d pending flushes" i
+              (List.length !lines) pending_flushes;
+          if !nts <> pending_nt then
+            fail "#%d: fence drains %d NT stores, device has %d" i !nts pending_nt)
+    ops;
+  !problem
+
+let prop_walk_matches_device =
+  QCheck.Test.make ~name:"persist walk agrees with the device" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map Pmem.Op.to_string (device_ops ops)))
+       QCheck.Gen.(list_size (int_range 1 60) dev_op_gen))
+    (fun prog ->
+      match walk_disagreement (device_ops prog) with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
+let test_waste_rule () =
+  let flush ~dirty ~volatile = Pmem.Op.Flush { kind = Pmem.Op.Clwb; line = 1; dirty; volatile } in
+  let fence kind pending_flushes = Pmem.Op.Fence { kind; pending_flushes; pending_nt = 0 } in
+  let check label expect op = Alcotest.(check bool) label true (Persist.waste op = expect) in
+  check "volatile flush" (Some Persist.Volatile_flush) (flush ~dirty:false ~volatile:true);
+  check "clean flush" (Some Persist.Clean_flush) (flush ~dirty:false ~volatile:false);
+  check "dirty flush" None (flush ~dirty:true ~volatile:false);
+  check "empty sfence" (Some Persist.Empty_fence) (fence Pmem.Op.Sfence 0);
+  check "empty mfence" (Some Persist.Empty_fence) (fence Pmem.Op.Mfence 0);
+  check "draining sfence" None (fence Pmem.Op.Sfence 1);
+  check "empty RMW fence" None (fence Pmem.Op.Rmw 0)
+
 let () =
   Alcotest.run "pmtrace"
     [
@@ -104,4 +204,9 @@ let () =
           Alcotest.test_case "fold order" `Quick test_trace_fold_order;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_capture_identity ]);
+      ( "persist",
+        [
+          QCheck_alcotest.to_alcotest prop_walk_matches_device;
+          Alcotest.test_case "waste rule" `Quick test_waste_rule;
+        ] );
     ]
