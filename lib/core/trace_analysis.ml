@@ -145,28 +145,32 @@ let feed t (event : Pmtrace.Event.t) =
     flushes, so neither arm of pattern 1 applies. *)
 let finish t =
   if not t.config.Config.eadr then
-  Hashtbl.iter
-    (fun slot (state, seq) ->
-      let line = slot * Pmem.Addr.atomic_size / Pmem.Addr.line_size in
-      match state with
-      | Captured ->
-          report t Report.Durability_bug seq
-            (Printf.sprintf "flush of slot %d was never fenced" slot)
-      | Dirty ->
-          let ever_flushed =
-            match Hashtbl.find_opt t.lines line with
-            | Some ls -> ls.flush_count > 0
-            | None -> false
-          in
-          if ever_flushed then
-            report t Report.Durability_bug seq
-              (Printf.sprintf "store to slot %d never persisted (line %d is flushed \
-                               elsewhere)" slot line)
-          else
-            report t Report.Transient_data_warning seq
-              (Printf.sprintf "slot %d written but its line is never flushed: PM used \
-                               for transient data?" slot))
-    t.slots;
+    (* in store order (slot breaks ties), so the detail a site keeps does
+       not depend on the table's bucket layout *)
+    Hashtbl.fold (fun slot (state, seq) acc -> (seq, slot, state) :: acc) t.slots []
+    |> List.sort compare
+    |> List.iter (fun (seq, slot, state) ->
+           let line = slot * Pmem.Addr.atomic_size / Pmem.Addr.line_size in
+           match state with
+           | Captured ->
+               report t Report.Durability_bug seq
+                 (Printf.sprintf "flush of slot %d was never fenced" slot)
+           | Dirty ->
+               let ever_flushed =
+                 match Hashtbl.find_opt t.lines line with
+                 | Some ls -> ls.flush_count > 0
+                 | None -> false
+               in
+               if ever_flushed then
+                 report t Report.Durability_bug seq
+                   (Printf.sprintf
+                      "store to slot %d never persisted (line %d is flushed elsewhere)" slot line)
+               else
+                 report t Report.Transient_data_warning seq
+                   (Printf.sprintf
+                      "slot %d written but its line is never flushed: PM used for transient \
+                       data?"
+                      slot));
   (* Deduplicate by (kind, seq): distinct slots of one cache line flushed by
      the same instruction otherwise surface as several copies of the same
      finding. Keep the first chronological occurrence so downstream stack

@@ -136,6 +136,30 @@ let prop_ta_eadr_silences_pattern1 =
       in
       ta_run ~config:{ Mumak.Config.default with Mumak.Config.eadr = true } ops = [])
 
+let prop_ta_end_of_trace_in_store_order =
+  QCheck.Test.make ~name:"end-of-trace findings come out in store order" ~count:200
+    QCheck.(list_of_size (Gen.int_range 2 40) (pair (int_range 0 2000) bool))
+    (fun stores ->
+      (* some lines are flushed elsewhere, so both end-of-trace kinds occur *)
+      let ops =
+        List.concat_map
+          (fun (slot, flushed) ->
+            if flushed then persist_ops (slot + 4000)
+              @ [ Pmem.Op.Store { addr = (slot + 4000) * 8; size = 8; nt = false } ]
+            else [ Pmem.Op.Store { addr = slot * 8; size = 8; nt = false } ])
+          stores
+      in
+      let seqs =
+        List.filter_map
+          (fun (r : Mumak.Trace_analysis.raw) ->
+            match r.Mumak.Trace_analysis.kind with
+            | Mumak.Report.Durability_bug | Mumak.Report.Transient_data_warning ->
+                Some r.Mumak.Trace_analysis.seq
+            | _ -> None)
+          (ta_run ops)
+      in
+      seqs = List.sort compare seqs)
+
 (* The fence half of a read-modify-write cannot be deleted without the
    RMW, so an RMW with nothing pending is not a redundant fence; an empty
    sfence still is. *)
@@ -342,6 +366,7 @@ let () =
             prop_ta_missing_fence_is_flagged;
             prop_ta_unflushed_store_is_transient_or_durability;
             prop_ta_eadr_silences_pattern1;
+            prop_ta_end_of_trace_in_store_order;
           ]
         @ [
             Alcotest.test_case "RMW fence is never redundant" `Quick
