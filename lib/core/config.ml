@@ -27,15 +27,11 @@ type t = {
   resolve_stacks : bool;
       (** run the extra minimally-instrumented execution that attaches call
           stacks to trace-analysis findings (paper section 5) *)
-  detect_dirty_overwrites : bool;
-      (** also flag stores overwriting unpersisted data (off by default: in
-          undo-logged code this pattern is routine inside transactions) *)
   eadr : bool;
       (** analyse for an eADR platform (persistence domain extends to the
           CPU caches, paper sections 2 and 4.3): fault injection is
           unchanged — atomicity/ordering bugs survive eADR — but the trace
           analysis stops reporting unflushed stores as durability bugs *)
-  max_failure_points : int option;  (** cap for very large targets *)
   static : bool;
       (** run the offline persistency dependency-graph analyzer over the
           run's shared recordings (load-free and load-traced) before the
@@ -117,9 +113,7 @@ let default =
     strategy = Replay;
     report_warnings = true;
     resolve_stacks = true;
-    detect_dirty_overwrites = false;
     eadr = false;
-    max_failure_points = None;
     static = false;
     prioritize = false;
     invariant_runs = 2;
@@ -154,10 +148,7 @@ let to_json t =
       ("strategy", String (strategy_name t.strategy));
       ("report_warnings", Bool t.report_warnings);
       ("resolve_stacks", Bool t.resolve_stacks);
-      ("detect_dirty_overwrites", Bool t.detect_dirty_overwrites);
       ("eadr", Bool t.eadr);
-      ( "max_failure_points",
-        match t.max_failure_points with None -> Null | Some n -> Int n );
       ("static", Bool t.static);
       ("prioritize", Bool t.prioritize);
       ("invariant_runs", Int t.invariant_runs);

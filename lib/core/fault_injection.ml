@@ -53,11 +53,6 @@ let fp_listener ~granularity ~on_fp =
   fun (event : Pmtrace.Event.t) stack ->
     if is_fp event.Pmtrace.Event.op then on_fp (Pmtrace.Callstack.capture stack)
 
-let under_cap config tree =
-  match config.Config.max_failure_points with
-  | None -> true
-  | Some cap -> Fp_tree.size tree < cap
-
 (** Offline replay of the failure-point detector over a recorded trace
     (events must carry stacks, i.e. come from a [with_stacks] tracer).
     Returns [(ordinal, pseq, capture)] triples: the discovery ordinal of
@@ -77,11 +72,11 @@ let offline_points config (events : Pmtrace.Event.t list) =
       (match e.Pmtrace.Event.op with Pmem.Op.Load _ -> () | _ -> incr pseq);
       if is_fp e.Pmtrace.Event.op then
         match e.Pmtrace.Event.stack with
-        | Some capture when under_cap config tree -> (
+        | Some capture -> (
             match Fp_tree.insert tree capture with
             | `Added p -> points := (p.Fp_tree.ordinal, !pseq, capture) :: !points
             | `Existing _ -> ())
-        | Some _ | None -> ())
+        | None -> ())
     events;
   List.rev !points
 
@@ -106,11 +101,7 @@ let build_tree ?(extra_listener = fun _ _ -> ()) config (target : Target.t) =
   let tree = Fp_tree.create () in
   let detect =
     fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->
-        if under_cap config tree then ignore (Fp_tree.insert tree capture)
-        else
-          (* dynamic failure-point occurrences suppressed by
-             [max_failure_points] — nonzero means coverage was capped *)
-          Telemetry.Collector.count "fp.pruned_by_cap" 1)
+        ignore (Fp_tree.insert tree capture))
   in
   let device =
     execute config target (fun _ event stack ->
@@ -421,19 +412,17 @@ let inject_snapshot ?(extra_listener = fun _ _ -> ()) config (target : Target.t)
   let listener device =
     let detect =
       fp_listener ~granularity:config.Config.granularity ~on_fp:(fun capture ->
-          if not (under_cap config tree) then Telemetry.Collector.count "fp.pruned_by_cap" 1
-          else
-            match Fp_tree.insert tree capture with
-            | `Existing _ -> ()
-            | `Added point ->
-                point.Fp_tree.visited <- true;
-                let image =
-                  Telemetry.Collector.span ~cat:"inject" ~hist:"crash_image_ns"
-                    ~args:[ ("ordinal", Telemetry.Json.Int point.Fp_tree.ordinal) ]
-                    "crash_image" (fun () ->
-                      Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix)
-                in
-                records := judge config target point image :: !records)
+        match Fp_tree.insert tree capture with
+        | `Existing _ -> ()
+        | `Added point ->
+            point.Fp_tree.visited <- true;
+            let image =
+              Telemetry.Collector.span ~cat:"inject" ~hist:"crash_image_ns"
+                ~args:[ ("ordinal", Telemetry.Json.Int point.Fp_tree.ordinal) ]
+                "crash_image" (fun () ->
+                  Pmem.Device.crash device ~policy:Pmem.Device.Program_prefix)
+            in
+            records := judge config target point image :: !records)
     in
     fun event stack ->
       extra_listener event stack;

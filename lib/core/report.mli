@@ -8,6 +8,9 @@ type kind =
   | Redundant_flush
   | Redundant_fence
   | Dirty_overwrite
+      (** emitted by no phase since the trace analysis's opt-in
+          dirty-overwrite check was removed; kept while the benchmark's
+          scorer names it *)
   | Transient_data_warning
   | Multi_store_flush_warning
   | Unordered_flushes_warning
