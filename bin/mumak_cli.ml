@@ -33,77 +33,123 @@ let write_file path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
-let run name ops key_range seed version_str grouped strategy_str bugs no_warnings
-    store_level jobs static lint verify_fixes absint prune trace_out metrics_out progress
-    store_dir =
+(* The workload flags every analysing command shares. *)
+type input = {
+  name : string;
+  ops : int;
+  key_range : int;
+  seed : int;
+  version_str : string;
+  grouped : bool;
+  bugs : string list;
+}
+
+(* The sinks every analysing command shares. *)
+type sinks = {
+  trace_out : string option;
+  metrics_out : string option;
+  progress : bool;
+  store_dir : string option;
+}
+
+(* One runner for [analyze] and [optimize]: build the target with its
+   seeded bugs armed, run the engine under [config] with the telemetry
+   sinks, print through [print] — which returns the exit code — and append
+   the run to the ledger. *)
+let execute input sinks config print =
   let version =
-    match version_str with
+    match input.version_str with
     | "1.6" -> Pmalloc.Version.V1_6
     | "1.8" -> Pmalloc.Version.V1_8
     | "1.12" -> Pmalloc.Version.V1_12
     | v -> usage_error "unknown library version %s (1.6 | 1.8 | 1.12)" v
   in
-  let workload = Workload.standard ~ops ~key_range ~seed:(Int64.of_int seed) in
-  List.iter Bugreg.enable bugs;
-  match build_target ~name ~version ~grouped ~workload with
+  let workload =
+    Workload.standard ~ops:input.ops ~key_range:input.key_range ~seed:(Int64.of_int input.seed)
+  in
+  List.iter Bugreg.enable input.bugs;
+  match build_target ~name:input.name ~version ~grouped:input.grouped ~workload with
   | None ->
-      usage_error "unknown target %s; available: %a" name
+      usage_error "unknown target %s; available: %a" input.name
         Fmt.(list ~sep:comma string)
         registry_names
   | Some target ->
-      let jobs = max 1 jobs in
-      (* --prune skips injections, which only exist under re-execution, and
-         needs the abstract fixpoint to nominate them *)
-      let absint = absint || prune in
-      let strategy =
-        (* --absint/--prune and --jobs work under replay (the default) or
-           reexecute, so a snapshot request is upgraded to replay when they
-           are on *)
-        match strategy_str with
-        | "replay" -> Mumak.Config.Replay
-        | "snapshot" -> if absint || jobs > 1 then Mumak.Config.Replay else Mumak.Config.Snapshot
-        | "reexecute" -> Mumak.Config.Reexecute
-        | s -> usage_error "unknown strategy %s (replay | snapshot | reexecute)" s
-      in
-      let config =
-        {
-          Mumak.Config.default with
-          Mumak.Config.strategy;
-          report_warnings = not no_warnings;
-          granularity =
-            (if store_level then Mumak.Config.Store_level
-             else Mumak.Config.Persistency_instruction);
-          static;
-          (* invariant-guided prioritization reorders the live
-             re-execution loop; the other strategies have no loop order *)
-          prioritize = static && strategy = Mumak.Config.Reexecute;
-          jobs;
-          (* --verify-fixes without --lint would verify static fixes only;
-             implying lint keeps the CLI contract simple: verification always
-             covers every fix suggestion the run produced *)
-          lint = lint || verify_fixes;
-          verify_fixes;
-          absint;
-          prune;
-        }
-      in
-      if trace_out <> None || metrics_out <> None then Telemetry.Collector.enable ();
-      if progress then Telemetry.Progress.activate ();
+      let telemetry = sinks.trace_out <> None || sinks.metrics_out <> None in
+      if telemetry then Telemetry.Collector.enable ();
+      if sinks.progress then Telemetry.Progress.activate ();
       let result =
         try Mumak.Engine.analyze ~config target
         with exn ->
           Fmt.epr "mumak: engine error: %s@." (Printexc.to_string exn);
           exit 2
       in
-      if trace_out <> None || metrics_out <> None then begin
+      if telemetry then begin
         let dump = Telemetry.Collector.drain () in
         Option.iter
           (fun path -> write_file path (Telemetry.Chrome_trace.to_string dump))
-          trace_out;
-        Option.iter
-          (fun path -> write_file path (Telemetry.Jsonl.to_string dump))
-          metrics_out
+          sinks.trace_out;
+        Option.iter (fun path -> write_file path (Telemetry.Jsonl.to_string dump)) sinks.metrics_out
       end;
+      let code = print result in
+      Option.iter
+        (fun dir ->
+          (* The workload descriptor is part of the run's content address:
+             anything that changes what the target executed (including which
+             seeded bugs were armed) must change the run id. *)
+          let workload_desc =
+            Printf.sprintf "standard:ops=%d,keys=%d,seed=%d,version=%s,grouped=%b%s" input.ops
+              input.key_range input.seed input.version_str input.grouped
+              (match input.bugs with
+              | [] -> ""
+              | l -> ",bugs=" ^ String.concat "+" (List.sort compare l))
+          in
+          let record =
+            Store.Record.of_result ~target:input.name ~workload:workload_desc ~config result
+          in
+          let ledger = Store.Ledger.open_ ~dir () in
+          let id = Store.Ledger.append_run ledger record in
+          Fmt.pr "recorded run %s in %s@." id dir)
+        sinks.store_dir;
+      exit code
+
+let run input strategy_str no_warnings store_level jobs static lint verify_fixes absint prune
+    sinks =
+  let jobs = max 1 jobs in
+  (* --prune skips injections, which only exist under re-execution, and
+     needs the abstract fixpoint to nominate them *)
+  let absint = absint || prune in
+  let strategy =
+    (* --absint/--prune and --jobs work under replay (the default) or
+       reexecute, so a snapshot request is upgraded to replay when they
+       are on *)
+    match strategy_str with
+    | "replay" -> Mumak.Config.Replay
+    | "snapshot" -> if absint || jobs > 1 then Mumak.Config.Replay else Mumak.Config.Snapshot
+    | "reexecute" -> Mumak.Config.Reexecute
+    | s -> usage_error "unknown strategy %s (replay | snapshot | reexecute)" s
+  in
+  let config =
+    {
+      Mumak.Config.default with
+      Mumak.Config.strategy;
+      report_warnings = not no_warnings;
+      granularity =
+        (if store_level then Mumak.Config.Store_level else Mumak.Config.Persistency_instruction);
+      static;
+      (* invariant-guided prioritization reorders the live
+         re-execution loop; the other strategies have no loop order *)
+      prioritize = static && strategy = Mumak.Config.Reexecute;
+      jobs;
+      (* --verify-fixes without --lint would verify static fixes only;
+         implying lint keeps the CLI contract simple: verification always
+         covers every fix suggestion the run produced *)
+      lint = lint || verify_fixes;
+      verify_fixes;
+      absint;
+      prune;
+    }
+  in
+  execute input sinks config (fun result ->
       Fmt.pr "%a@." Mumak.Engine.pp_result result;
       (match result.Mumak.Engine.static with
       | Some s ->
@@ -116,26 +162,7 @@ let run name ops key_range seed version_str grouped strategy_str bugs no_warning
         (match result.Mumak.Engine.first_bug_injection with
         | Some n -> string_of_int n
         | None -> "none found");
-      (match store_dir with
-      | None -> ()
-      | Some dir ->
-          (* The workload descriptor is part of the run's content address:
-             anything that changes what the target executed (including which
-             seeded bugs were armed) must change the run id. *)
-          let workload_desc =
-            Printf.sprintf "standard:ops=%d,keys=%d,seed=%d,version=%s,grouped=%b%s" ops
-              key_range seed version_str grouped
-              (match bugs with
-              | [] -> ""
-              | l -> ",bugs=" ^ String.concat "+" (List.sort compare l))
-          in
-          let record =
-            Store.Record.of_result ~target:name ~workload:workload_desc ~config result
-          in
-          let ledger = Store.Ledger.open_ ~dir () in
-          let id = Store.Ledger.append_run ledger record in
-          Fmt.pr "recorded run %s in %s@." id dir);
-      exit (if Mumak.Report.bugs result.Mumak.Engine.report <> [] then 1 else 0)
+      if Mumak.Report.bugs result.Mumak.Engine.report <> [] then 1 else 0)
 
 let name_arg =
   let doc = "Target application to analyse." in
@@ -263,12 +290,22 @@ let store_arg =
            metrics and a provenance record per finding. Query it later with \
            `mumak query', `mumak explain' and `mumak diff'.")
 
+let input_term =
+  Term.(
+    const (fun name ops key_range seed version_str grouped bugs ->
+        { name; ops; key_range; seed; version_str; grouped; bugs })
+    $ name_arg $ ops_arg $ key_range_arg $ seed_arg $ version_arg $ grouped_arg $ bugs_arg)
+
+let sinks_term =
+  Term.(
+    const (fun trace_out metrics_out progress store_dir ->
+        { trace_out; metrics_out; progress; store_dir })
+    $ trace_out_arg $ metrics_out_arg $ progress_arg $ store_arg)
+
 let analyze_term =
   Term.(
-    const run $ name_arg $ ops_arg $ key_range_arg $ seed_arg $ version_arg
-    $ grouped_arg $ strategy_arg $ bugs_arg $ no_warnings_arg $ store_level_arg
-    $ jobs_arg $ static_arg $ lint_arg $ verify_fixes_arg $ absint_arg $ prune_arg
-    $ trace_out_arg $ metrics_out_arg $ progress_arg $ store_arg)
+    const run $ input_term $ strategy_arg $ no_warnings_arg $ store_level_arg $ jobs_arg
+    $ static_arg $ lint_arg $ verify_fixes_arg $ absint_arg $ prune_arg $ sinks_term)
 
 let analyze_cmd =
   let doc = "Detect crash-consistency and performance bugs in a PM application." in
@@ -278,35 +315,14 @@ let analyze_cmd =
 (* optimize: the cost-model-driven transformation pipeline             *)
 (* ------------------------------------------------------------------ *)
 
-let optimize name ops key_range seed version_str grouped bugs fit_cost jobs progress
-    store_dir =
-  let version =
-    match version_str with
-    | "1.6" -> Pmalloc.Version.V1_6
-    | "1.8" -> Pmalloc.Version.V1_8
-    | "1.12" -> Pmalloc.Version.V1_12
-    | v -> usage_error "unknown library version %s (1.6 | 1.8 | 1.12)" v
-  in
-  let workload = Workload.standard ~ops ~key_range ~seed:(Int64.of_int seed) in
-  List.iter Bugreg.enable bugs;
-  match build_target ~name ~version ~grouped ~workload with
-  | None ->
-      usage_error "unknown target %s; available: %a" name
-        Fmt.(list ~sep:comma string)
-        registry_names
-  | Some target ->
-      let config = { Mumak.Config.optimizing with fit_cost; jobs = max 1 jobs } in
-      if progress then Telemetry.Progress.activate ();
-      let result =
-        try Mumak.Engine.analyze ~config target
-        with exn ->
-          Fmt.epr "mumak: engine error: %s@." (Printexc.to_string exn);
-          exit 2
-      in
+(* [analyze] under the {!Mumak.Config.optimizing} preset, printing the
+   shipped bundles; it always exits 0 when the engine ran. *)
+let optimize input fit_cost jobs sinks =
+  let config = { Mumak.Config.optimizing with fit_cost; jobs = max 1 jobs } in
+  execute input sinks config (fun result ->
       Fmt.pr "%a@." Mumak.Engine.pp_result result;
-      (match result.Mumak.Engine.opt with
-      | None -> ()
-      | Some o ->
+      Option.iter
+        (fun o ->
           let shipped = Analysis.Opt.shipped o in
           (* the scriptable summary line CI gates on *)
           Fmt.pr "optimize: proven=%d ineffective=%d harmful=%d shipped=%d@."
@@ -321,24 +337,9 @@ let optimize name ops key_range seed version_str grouped bugs fit_cost jobs prog
               List.iter
                 (fun e -> Fmt.pr "    edit: %s@." (Pmtrace.Replay.edit_to_string e))
                 b.Analysis.Opt.b_plan.Analysis.Opt.p_edits)
-            shipped);
-      (match store_dir with
-      | None -> ()
-      | Some dir ->
-          let workload_desc =
-            Printf.sprintf "standard:ops=%d,keys=%d,seed=%d,version=%s,grouped=%b%s" ops
-              key_range seed version_str grouped
-              (match bugs with
-              | [] -> ""
-              | l -> ",bugs=" ^ String.concat "+" (List.sort compare l))
-          in
-          let record =
-            Store.Record.of_result ~target:name ~workload:workload_desc ~config result
-          in
-          let ledger = Store.Ledger.open_ ~dir () in
-          let id = Store.Ledger.append_run ledger record in
-          Fmt.pr "recorded run %s in %s@." id dir);
-      exit 0
+            shipped)
+        result.Mumak.Engine.opt;
+      0)
 
 let fit_cost_arg =
   Arg.(
@@ -358,9 +359,7 @@ let optimize_cmd =
      Only proven plans ship as the ranked patch bundle."
   in
   Cmd.v (Cmd.info "optimize" ~doc)
-    Term.(
-      const optimize $ name_arg $ ops_arg $ key_range_arg $ seed_arg $ version_arg
-      $ grouped_arg $ bugs_arg $ fit_cost_arg $ jobs_arg $ progress_arg $ store_arg)
+    Term.(const optimize $ input_term $ fit_cost_arg $ jobs_arg $ sinks_term)
 
 let list_cmd =
   let doc = "List available targets and seeded bugs." in
