@@ -68,7 +68,7 @@ let line_state t line =
       Hashtbl.replace t.lines line l;
       l
 
-let window t ~nt line a =
+let new_window t ~nt line a =
   {
     line;
     nt;
@@ -88,7 +88,7 @@ let store t a ~addr ~size ~nt f =
     let w =
       if nt then begin
         (* buffered until the next fence, beside the cached copy *)
-        let w = window t ~nt line a in
+        let w = new_window t ~nt line a in
         (line_state t line).nt_epoch <- t.epoch;
         t.unfenced <- w :: t.unfenced;
         w
@@ -97,7 +97,7 @@ let store t a ~addr ~size ~nt f =
         match Hashtbl.find_opt t.open_ line with
         | Some w -> w
         | None ->
-            let w = window t ~nt line a in
+            let w = new_window t ~nt line a in
             Hashtbl.replace t.open_ line w;
             w
     in
