@@ -112,16 +112,13 @@ let execute input sinks config print =
         sinks.store_dir;
       exit code
 
-let run input strategy_str no_warnings store_level jobs static lint verify_fixes absint prune
-    sinks =
+let run input strategy_str no_warnings store_level jobs static lint verify_fixes absint sinks =
   let jobs = max 1 jobs in
-  (* --prune skips injections, which only exist under re-execution, and
-     needs the abstract fixpoint to nominate them *)
-  let absint = absint || prune in
   let strategy =
-    (* --absint/--prune and --jobs work under replay (the default) or
-       reexecute, so a snapshot request is upgraded to replay when they
-       are on *)
+    (* --jobs works only under replay (the default) or reexecute, so a
+       snapshot request is upgraded to replay when it is set; so is an
+       --absint request, whose recording replay injects from at no extra
+       execution *)
     match strategy_str with
     | "replay" -> Mumak.Config.Replay
     | "snapshot" -> if absint || jobs > 1 then Mumak.Config.Replay else Mumak.Config.Snapshot
@@ -136,9 +133,6 @@ let run input strategy_str no_warnings store_level jobs static lint verify_fixes
       granularity =
         (if store_level then Mumak.Config.Store_level else Mumak.Config.Persistency_instruction);
       static;
-      (* invariant-guided prioritization reorders the live
-         re-execution loop; the other strategies have no loop order *)
-      prioritize = static && strategy = Mumak.Config.Reexecute;
       jobs;
       (* --verify-fixes without --lint would verify static fixes only;
          implying lint keeps the CLI contract simple: verification always
@@ -146,16 +140,14 @@ let run input strategy_str no_warnings store_level jobs static lint verify_fixes
       lint = lint || verify_fixes;
       verify_fixes;
       absint;
-      prune;
     }
   in
   execute input sinks config (fun result ->
       Fmt.pr "%a@." Mumak.Engine.pp_result result;
       (match result.Mumak.Engine.static with
       | Some s ->
-          Fmt.pr "static analysis: %d raw findings, %d hot windows over %d recordings@."
+          Fmt.pr "static analysis: %d raw findings over %d recordings@."
             (List.length s.Analysis.Static.findings)
-            (List.length s.Analysis.Static.hot_windows)
             s.Analysis.Static.runs
       | None -> ());
       Fmt.pr "first bug at injection: %s@."
@@ -205,10 +197,9 @@ let static_arg =
           "Run the offline persistency dependency-graph analyzer before fault \
            injection over the run's shared recordings (load-free and \
            load-traced): mines likely ordering/atomicity invariants and \
-           attaches fix suggestions to findings. Costs one extra recording, \
-           never a re-execution. With --strategy reexecute it also reorders \
-           the injection loop so statically-suspicious failure points are \
-           tried first.")
+           attaches fix suggestions to findings. Costs the load-traced \
+           recording under replay (the default) and both recordings under \
+           the other strategies; never a re-execution.")
 
 let lint_arg =
   Arg.(
@@ -218,7 +209,9 @@ let lint_arg =
           "Run the epoch-based anti-pattern detectors over a recorded trace: \
            duplicate/unnecessary flushes, redundant fences and missing-flush \
            hot spots, each with a code path, a concrete fix and an estimated \
-           cycles/events saving. Costs one extra instrumented execution.")
+           cycles/events saving. Reads the run's shared recording: no extra \
+           execution under replay (the default), one recording under the \
+           other strategies.")
 
 let absint_arg =
   Arg.(
@@ -230,16 +223,6 @@ let absint_arg =
            reports missing-flush / missing-fence / ordering findings on \
            merged paths no single recording exercised, each with a concrete \
            path witness.")
-
-let prune_arg =
-  Arg.(
-    value & flag
-    & info [ "prune" ]
-        ~doc:
-          "Skip fault injections the abstract fixpoint proves safe on every \
-           merged path, after confirming each skipped point's replayed crash \
-           image against the recovery oracle offline — the report is \
-           byte-identical to the unpruned run. Implies --absint.")
 
 let verify_fixes_arg =
   Arg.(
@@ -305,7 +288,7 @@ let sinks_term =
 let analyze_term =
   Term.(
     const run $ input_term $ strategy_arg $ no_warnings_arg $ store_level_arg $ jobs_arg
-    $ static_arg $ lint_arg $ verify_fixes_arg $ absint_arg $ prune_arg $ sinks_term)
+    $ static_arg $ lint_arg $ verify_fixes_arg $ absint_arg $ sinks_term)
 
 let analyze_cmd =
   let doc = "Detect crash-consistency and performance bugs in a PM application." in
@@ -412,7 +395,7 @@ let query store_dir target_filter kind_filter phase_filter digest_filter fix_ver
   | Some ("proven" | "ineffective" | "harmful") | None -> ()
   | Some v -> usage_error "unknown fix verdict %s (proven | ineffective | harmful)" v);
   let ledger = open_ledger store_dir in
-  let runs = Store.Ledger.load_all ledger in
+  let runs = match Store.Ledger.load_all ledger with Ok runs -> runs | Error e -> usage_error "%s" e in
   let contains ~needle haystack =
     let n = String.length needle and h = String.length haystack in
     let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in

@@ -30,8 +30,7 @@
       merged-path witness;
     - {e proofs}: a site is proven safe when on {e every} merged path into
       it all lines dirtied before the current epoch are persisted —
-      {!Prune} uses this as the necessary condition for skipping the
-      failure point. *)
+      {!Opt} breaks plan-ranking ties in favour of proven sites. *)
 
 module Lattice = struct
   (** The chain the analysis abstracts per cache line. *)
@@ -174,14 +173,17 @@ let apply ~key st (instr : Cfg.instr) =
       let v = find_line st line in
       let outstanding = v.mask land (dirty_bits lor pending_bits) <> 0 in
       let kept = v.mask land (clean lor persisted) in
-      let mask =
-        if outstanding then kept lor pending_epoch
-        else if kept <> 0 then kept
-        else clean (* flush of an untouched line: content already durable *)
-      in
-      let old_pending = if v.mask land pending_bits <> 0 then v.wit_pending else None in
-      let wit_pending = if outstanding then omin old_pending (Some key) else None in
-      Lines.add line { mask; wit_dirty = None; wit_pending } st |> epoch_close
+      if (not outstanding) && kept = bot then
+        (* a flush of an untouched line adds no fact: its content is
+           already durable, and a [clean] fact here would make the
+           transfer non-monotone (bot would map to clean while a
+           persisted-only line gains no clean bit) *)
+        epoch_close st
+      else
+        let mask = if outstanding then kept lor pending_epoch else kept in
+        let old_pending = if v.mask land pending_bits <> 0 then v.wit_pending else None in
+        let wit_pending = if outstanding then omin old_pending (Some key) else None in
+        Lines.add line { mask; wit_dirty = None; wit_pending } st |> epoch_close
   | Cfg.Fence _ ->
       (* Any fence kind (sfence/mfence/RMW drain) retires pending flushes
          and NT stores; dirty-but-unflushed lines stay dirty. *)

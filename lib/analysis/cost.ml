@@ -156,26 +156,6 @@ let fit histograms =
         w_source = "fitted";
       }
 
-(** Re-import "cost.*" histograms from a telemetry JSONL document (the
-    export format of {!Telemetry.Jsonl}), for fitting from a previously
-    recorded run. Unparseable lines are skipped — the caller decides
-    whether an empty result is an error. *)
-let histograms_of_jsonl doc =
-  String.split_on_char '\n' doc
-  |> List.filter_map (fun lineS ->
-         match Telemetry.Json.of_string (String.trim lineS) with
-         | Error _ -> None
-         | Ok record -> (
-             match
-               ( Option.bind (Telemetry.Json.member "type" record)
-                   Telemetry.Json.to_string_opt,
-                 Option.bind (Telemetry.Json.member "name" record)
-                   Telemetry.Json.to_string_opt )
-             with
-             | Some "histogram", Some name when List.mem name class_names ->
-                 Option.map (fun h -> (name, h)) (Telemetry.Histogram.of_json record)
-             | _ -> None))
-
 let to_json w =
   let open Telemetry.Json in
   Assoc

@@ -46,9 +46,5 @@ val fit : (string * Telemetry.Histogram.t) list -> weights
     anchor). Unsampled classes keep their static weight; an empty list is
     exactly {!static_weights}. *)
 
-val histograms_of_jsonl : string -> (string * Telemetry.Histogram.t) list
-(** Recover "cost.*" histograms from a telemetry JSONL document; lines
-    that are not cost histograms are skipped. *)
-
 val to_json : weights -> Telemetry.Json.t
 val pp : weights Fmt.t

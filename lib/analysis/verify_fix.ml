@@ -93,8 +93,6 @@ let edits_at (fix : Fix.t) ?at_op ?(with_fence = true) pseq =
   | Fix.Convert_to_clwb _ ->
       [ Pmtrace.Replay.Set_flush_kind { pseq; kind = Pmem.Op.Clwb } ]
 
-let edits_of_fix (fix : Fix.t) = edits_at fix fix.Fix.seq
-
 (* A fix names a code site, not a dynamic instruction: every event whose
    capture (innermost path + ordinal) equals the fix's anchor is the same
    static instruction executing again. Captures of frame instances that

@@ -50,12 +50,6 @@ type t = {
           baseline's included *)
 }
 
-val edits_of_fix : Fix.t -> Pmtrace.Replay.edit list
-(** The concrete trace edits a fix stands for at its anchor instance. An
-    inserted flush gets a fence right behind it: under the buffered
-    persistency model a flush only reaches durability at a fence, so the
-    flush alone would leave the window exactly as dangling as before. *)
-
 val expand_fix : Fix.t -> Pmtrace.Event.t list -> Pmtrace.Replay.edit list
 (** A fix names a code site, not a dynamic instruction: [expand_fix fix
     events] is the fix's edits applied at every dynamic instance of its

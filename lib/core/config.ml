@@ -41,10 +41,10 @@ type t = {
           its findings. Costs the load-traced recording (one execution,
           shared with [verify_fixes]); never a re-execution. *)
   prioritize : bool;
-      (** reorder the [Reexecute] injection loop so failure points whose
-          first occurrence falls inside a statically-suspicious window are
-          injected first (invariant-guided prioritization). Requires
-          [static]; ignored under [Snapshot]. *)
+      (** retired: must stay [false] ({!Engine.analyze} raises
+          [Invalid_argument] otherwise). Reordering the [Reexecute] loop by
+          static evidence never shortened a run — the loop always runs to
+          completion — and under [Replay] it had no effect. *)
   invariant_runs : int;
       (** how many replicas of the one shared recording the invariant
           miner and the abstract interpreter observe. The replicas are
@@ -81,18 +81,13 @@ type t = {
           [invariant_runs] replicas of the shared recording with a per-cache-line persistency
           lattice: reports missing-flush/missing-fence/ordering findings on
           merged paths no single recording exercised (each with a concrete
-          path witness) and proves failure-point sites safe for [prune] *)
+          path witness) and proves failure-point sites safe, the proofs
+          the optimizer ranks plans by *)
   prune : bool;
-      (** skip a fault injection when the abstract fixpoint proves the
-          failure point safe on every merged path AND the point's replayed
-          crash image passes the recovery oracle offline — sound by
-          construction: only injections whose records are known to be
-          consistent (contributing no finding) are elided. Under [Replay]
-          the confirmation folds into the injection pass itself (each
-          point's oracle outcome is computed anyway); under [Reexecute] all
-          nominees are confirmed in one batched materialization pass over
-          the shared recording. Requires [absint]; ignored under
-          [Snapshot]. *)
+      (** retired: must stay [false] ({!Engine.analyze} raises
+          [Invalid_argument] otherwise). Skipping injections at abstractly
+          proven sites made every measured run slower: the fixpoint costs
+          far more than the injections it saved. *)
   optimize : bool;
       (** synthesize persist-transformation plans (fence batching, flush
           coalescing/hoisting, non-temporal and clwb conversions) over the
@@ -150,7 +145,6 @@ let to_json t =
       ("resolve_stacks", Bool t.resolve_stacks);
       ("eadr", Bool t.eadr);
       ("static", Bool t.static);
-      ("prioritize", Bool t.prioritize);
       ("invariant_runs", Int t.invariant_runs);
       ("invariant_support", Int t.invariant_support);
       ("invariant_confidence", Float t.invariant_confidence);
@@ -158,23 +152,13 @@ let to_json t =
       ("lint", Bool t.lint);
       ("verify_fixes", Bool t.verify_fixes);
       ("absint", Bool t.absint);
-      ("prune", Bool t.prune);
       ("optimize", Bool t.optimize);
       ("fit_cost", Bool t.fit_cost);
     ]
 
-(** [default] plus the full static pipeline: dependency-graph analysis,
-    invariant mining, fix suggestions and invariant-guided prioritization
-    of the re-execution injection loop. *)
-let static_analysis = { default with strategy = Reexecute; static = true; prioritize = true }
-
 (** The lint pipeline: anti-pattern detectors plus verified fix
     suggestions, alongside the default dynamic phases. *)
 let linting = { default with lint = true; verify_fixes = true }
-
-(** The merged-trace abstract interpreter plus confirmed failure-point
-    pruning over the re-execution injection loop. *)
-let path_sensitive = { default with strategy = Reexecute; absint = true; prune = true }
 
 (** The optimizer pipeline: the lint detectors and the merged-trace
     abstract interpreter feed plan synthesis, and every plan is

@@ -3,10 +3,7 @@
     unique bugs and warnings. *)
 
 (* Both types are documented in engine.mli. *)
-type absint = {
-  analysis : Analysis.Absint.t;
-  prune : Analysis.Prune.plan option;
-}
+type absint = { analysis : Analysis.Absint.t }
 
 type result = {
   report : Report.t;
@@ -186,23 +183,12 @@ let add_findings ctx to_finding items =
     items
 
 (* Offline static analysis over the shared recording pair: dependency
-   graphs, invariant mining, fix suggestions and, for the live
-   re-execution loop, the invariant-guided priority over failure points. *)
+   graphs, invariant mining and fix suggestions. *)
 let static_phase ctx =
   let c = ctx.config in
   let pair = (Lazy.force ctx.events, Pmtrace.Replay.events (Lazy.force ctx.loaded)) in
-  let s =
-    Analysis.Static.analyze ~support:c.Config.invariant_support
-      ~confidence:c.Config.invariant_confidence ~eadr:c.Config.eadr (replicas c pair)
-  in
-  let priority =
-    if c.Config.prioritize && c.Config.strategy = Config.Reexecute then
-      Some
-        (Analysis.Prioritize.order ~hot_frames:s.Analysis.Static.hot_frames
-           s.Analysis.Static.hot_windows (Lazy.force ctx.points))
-    else None
-  in
-  (s, priority)
+  Analysis.Static.analyze ~support:c.Config.invariant_support
+    ~confidence:c.Config.invariant_confidence ~eadr:c.Config.eadr (replicas c pair)
 
 (* The recording merged into one control-flow automaton and
    abstract-interpreted with the per-line persistency lattice: merged-path
@@ -217,49 +203,6 @@ let absint_phase ctx =
   Telemetry.Collector.count "absint.findings" (List.length a.Analysis.Absint.findings);
   Telemetry.Collector.count "absint.proven_sites" (Analysis.Absint.proven_count a);
   a
-
-type prune = Plan of Analysis.Prune.plan | Deferred of Analysis.Prune.nomination list
-
-(* Conservative failure-point pruning. The abstract fixpoint nominates
-   points whose site is safe on every merged path; each nominee's crash
-   image is judged by the recovery oracle offline, and only
-   confirmed-consistent points are skipped. A skipped injection's record is
-   known to be [Consistent] — contributing no finding — so the pruned
-   report signature equals the unpruned one by construction. *)
-let prune_phase ctx a =
-  let nominations =
-    Analysis.Prune.nominate ~proven_safe:(Analysis.Absint.proven_safe_at a) (Lazy.force ctx.points)
-  in
-  match ctx.config.Config.strategy with
-  | Config.Replay ->
-      (* confirmation folds into the replay injection pass, where every
-         point's oracle outcome is computed anyway *)
-      Deferred nominations
-  | Config.Reexecute | Config.Snapshot ->
-      (* Batched confirmation: every nominee's crash image comes out of one
-         prefix-incremental materialization pass over the shared recording,
-         and the oracle streams over the images — no extra execution, no
-         image retained. Live injection crashes at the point's first
-         dynamic occurrence, i.e. just before the event at its persistency
-         index applies, which is exactly where the materializer captures. *)
-      let wanted =
-        List.filter_map
-          (fun (n : Analysis.Prune.nomination) ->
-            if n.Analysis.Prune.n_proven then
-              Some (n.Analysis.Prune.n_ordinal, n.Analysis.Prune.n_pseq)
-            else None)
-          nominations
-      in
-      let confirmed = Hashtbl.create (max 16 (List.length wanted)) in
-      ignore
-        (Pmtrace.Replay.materialize (Lazy.force ctx.noload) ~points:wanted ~f:(fun ~key image ->
-             match
-               Oracle.classify ctx.target.Target.recover
-                 (Pmem.Device.adopt ~eadr:ctx.config.Config.eadr image)
-             with
-             | Oracle.Consistent -> Hashtbl.replace confirmed key ()
-             | Oracle.Unrecoverable _ | Oracle.Crashed _ -> ()));
-      Plan (Analysis.Prune.decide ~confirmed:(Hashtbl.mem confirmed) nominations)
 
 (* Anti-pattern lint over the shared recording, plus replay-backed
    verification of every fix suggestion (static and lint) — trace
@@ -325,10 +268,9 @@ let optimize_phase ctx ~static_r ~absint_a =
     ~oracle:(image_oracle c ctx.target) ~points:(Fault_injection.offline_points c) noload
 
 (* Instrumented execution(s), failure-point tree and injection, with the
-   trace analysis fed the same event stream. Returns the injection result,
-   the device counters of the instrumented run and, under [Replay], the
-   confirmed prune nominees. *)
-let inject_phase ctx ta ?priority ?skip ~nominees () =
+   trace analysis fed the same event stream. Returns the injection result
+   and the device counters of the instrumented run. *)
+let inject_phase ctx ta () =
   let c = ctx.config and target = ctx.target in
   let ta_feed event _stack = Trace_analysis.feed ta event in
   match c.Config.strategy with
@@ -336,11 +278,8 @@ let inject_phase ctx ta ?priority ?skip ~nominees () =
       (* the snapshot strategy's single execution also produced the trace;
          its device counters are the real store/flush/fence totals *)
       Telemetry.Progress.phase "inject";
-      let fi, stats =
-        span "fault_injection" (fun () ->
-            Fault_injection.inject_snapshot ~extra_listener:ta_feed c target)
-      in
-      (fi, stats, [])
+      span "fault_injection" (fun () ->
+          Fault_injection.inject_snapshot ~extra_listener:ta_feed c target)
   | Config.Reexecute ->
       Telemetry.Progress.phase "build-tree";
       let tree, stats =
@@ -348,10 +287,7 @@ let inject_phase ctx ta ?priority ?skip ~nominees () =
       in
       Telemetry.Progress.set_total (Fp_tree.size tree);
       Telemetry.Progress.phase "inject";
-      ( span "injection" (fun () ->
-            Fault_injection.inject_reexecute ?priority ?skip c target tree),
-        stats,
-        [] )
+      (span "injection" (fun () -> Fault_injection.inject_reexecute c target tree), stats)
   | Config.Replay ->
       (* Replay-first: the shared recording stands in for every live
          execution — the trace analysis reads the recorded events (the same
@@ -361,12 +297,11 @@ let inject_phase ctx ta ?priority ?skip ~nominees () =
       let r = Lazy.force ctx.noload in
       List.iter (Trace_analysis.feed ta) (Lazy.force ctx.events);
       Telemetry.Progress.phase "inject";
-      let fi, confirmed =
+      let fi =
         span "injection" (fun () ->
-            Fault_injection.inject_replay ~nominees c target ~recording:r
-              ~points:(Lazy.force ctx.points))
+            Fault_injection.inject_replay c target ~recording:r ~points:(Lazy.force ctx.points))
       in
-      (fi, Pmtrace.Replay.stats r, confirmed)
+      (fi, Pmtrace.Replay.stats r)
 
 (* Attach stacks to trace findings. Under [Replay] the recording already
    carries a stack on every event, so they are read off it for free; the
@@ -389,13 +324,13 @@ let resolve_phase ctx raw =
 (* Provenance reads trace windows and image diffs off the shared
    recording, and the ledger keys the run on its event digest, when the
    recording stands in for the live run: under [Replay], or when a
-   replay-backed phase (absint, prune, lint, fix verification, optimizer)
+   replay-backed phase (absint, lint, fix verification, optimizer)
    ran — each of which has made the recording by now. The static miner
    reads only events, so a live-strategy run whose one offline phase is
    the miner keeps a live run's witness-and-verdict evidence. *)
 let replay_backed (c : Config.t) =
-  c.Config.strategy = Config.Replay || c.Config.absint || c.Config.prune || c.Config.lint
-  || c.Config.verify_fixes || c.Config.optimize
+  c.Config.strategy = Config.Replay || c.Config.absint || c.Config.lint || c.Config.verify_fixes
+  || c.Config.optimize
 
 let trace_signature ctx ta (stats : Pmem.Stats.t) =
   if replay_backed ctx.config then begin
@@ -546,24 +481,17 @@ let provenance_phase ctx fi =
     (Report.ordered ctx.report)
 
 let analyze ?config:(c = Config.default) (target : Target.t) =
+  if c.Config.prune then invalid_arg "Engine.analyze: Config.prune is retired";
+  if c.Config.prioritize then invalid_arg "Engine.analyze: Config.prioritize is retired";
   let ctx = context c target in
   let ta = Trace_analysis.create c in
   (* the offline phases, each over the shared recordings *)
-  let static_out, sa_metrics =
+  let static_r, sa_metrics =
     optional c.Config.static ~progress:"static" "static_analysis" (fun () -> static_phase ctx)
   in
-  let static_r = Option.map fst static_out in
-  let absint_a, absint_metrics =
-    optional (c.Config.absint || c.Config.prune) ~progress:"absint" "absint" (fun () ->
-        absint_phase ctx)
+  let absint_a, ai_metrics =
+    optional c.Config.absint ~progress:"absint" "absint" (fun () -> absint_phase ctx)
   in
-  let prune, prune_metrics =
-    match absint_a with
-    | Some a when c.Config.prune && c.Config.strategy <> Config.Snapshot ->
-        optional true ~progress:"prune" "prune" (fun () -> prune_phase ctx a)
-    | Some _ | None -> (None, Metrics.zero)
-  in
-  let ai_metrics = Metrics.add absint_metrics prune_metrics in
   let lint_out, lv_metrics =
     optional (c.Config.lint || c.Config.verify_fixes) ~progress:"lint" "lint" (fun () ->
         lint_phase ctx static_r)
@@ -574,37 +502,7 @@ let analyze ?config:(c = Config.default) (target : Target.t) =
         optimize_phase ctx ~static_r ~absint_a)
   in
   (* instrumented execution(s), failure-point tree, injection *)
-  let skip, nominees =
-    match prune with
-    | Some (Plan plan) -> (Some plan.Analysis.Prune.skip, [])
-    | Some (Deferred ns) ->
-        ( None,
-          List.filter_map
-            (fun (n : Analysis.Prune.nomination) ->
-              if n.Analysis.Prune.n_proven then Some n.Analysis.Prune.n_ordinal else None)
-            ns )
-    | None -> (None, [])
-  in
-  let (fi, pm_stats, replay_confirmed), fi_phase =
-    Metrics.measure
-      (inject_phase ctx ta ?priority:(Option.bind static_out snd) ?skip ~nominees)
-  in
-  (* Under [Replay] the prune plan is decided by the injection pass itself:
-     a proven nominee is confirmed iff its streamed oracle outcome was
-     consistent (and its record was elided there). *)
-  let prune_plan =
-    match prune with
-    | Some (Plan plan) -> Some plan
-    | Some (Deferred ns) ->
-        Some (Analysis.Prune.decide ~confirmed:(Fault_injection.member_of replay_confirmed) ns)
-    | None -> None
-  in
-  Option.iter
-    (fun plan ->
-      Telemetry.Collector.count "absint.proven_safe" plan.Analysis.Prune.proven;
-      Telemetry.Collector.count "absint.skipped" (List.length plan.Analysis.Prune.skip);
-      Telemetry.Collector.count "absint.confirm_rejected" plan.Analysis.Prune.rejected)
-    prune_plan;
+  let (fi, pm_stats), fi_phase = Metrics.measure (inject_phase ctx ta) in
   (* GC counters are domain-local: fold what the injection workers
      allocated into the phase total measured on this domain. *)
   let fi_metrics = Metrics.absorb_workers fi_phase fi.Fault_injection.worker_metrics in
@@ -664,7 +562,7 @@ let analyze ?config:(c = Config.default) (target : Target.t) =
       ta_metrics;
       sa_metrics;
       static = static_r;
-      absint = Option.map (fun a -> { analysis = a; prune = prune_plan }) absint_a;
+      absint = Option.map (fun a -> { analysis = a }) absint_a;
       ai_metrics;
       lint = lint_r;
       fix_verdicts;
@@ -694,11 +592,7 @@ let pp_result ppf (r : result) =
     Report.pp r.report r.failure_points r.injections r.executions r.trace_events Metrics.pp
     r.metrics;
   (match r.absint with
-  | Some a -> (
-      Fmt.pf ppf "%a@." Analysis.Absint.pp a.analysis;
-      match a.prune with
-      | Some plan -> Fmt.pf ppf "%a@." Analysis.Prune.pp plan
-      | None -> ())
+  | Some a -> Fmt.pf ppf "%a@." Analysis.Absint.pp a.analysis
   | None -> ());
   (match r.lint with
   | Some l ->

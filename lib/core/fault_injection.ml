@@ -19,9 +19,6 @@ type result = {
   tree : Fp_tree.t;
   records : record list; (* sorted by failure-point ordinal *)
   executions : int; (* workload executions performed *)
-  injection_order : int list;
-      (* failure-point ordinals in the order faults were actually injected;
-         equals ordinal order for the unprioritized loop *)
   worker_metrics : Metrics.t list;
       (* per-worker-domain resource usage of the parallel injection phase;
          empty for the sequential loop and the snapshot strategy *)
@@ -61,7 +58,7 @@ let fp_listener ~granularity ~on_fp =
     fires under. Because this runs the live detector and
     [Fp_tree.insert], the ordinals coincide with the ones {!build_tree}
     assigns on a live execution of the same workload — which is what lets
-    {!Prioritize} scores computed offline address the live tree. *)
+    {!inject_replay} judge the live tree's points offline. *)
 let offline_points config (events : Pmtrace.Event.t list) =
   let tree = Fp_tree.create () in
   let is_fp = fp_detector config.Config.granularity in
@@ -114,10 +111,9 @@ let build_tree ?(extra_listener = fun _ _ -> ()) config (target : Target.t) =
    or, given [ordinal], at the first dynamic occurrence of that point.
    Because ordinals are assigned in discovery order, a targeted crash hits
    the same occurrence — hence the same program-prefix image — the
-   untargeted loop crashes at when that point's turn comes, which is why
-   prioritization can only reorder findings, never change them. Returns the
-   injected point and its crash image, or None if no wanted point was
-   reached. *)
+   untargeted loop crashes at when that point's turn comes, which is what
+   lets a replay fallback stand in for the live loop. Returns the injected
+   point and its crash image, or None if no wanted point was reached. *)
 let reexecute ?ordinal config (target : Target.t) tree =
   let args = Option.to_list (Option.map (fun o -> ("ordinal", Telemetry.Json.Int o)) ordinal) in
   Telemetry.Collector.span ~cat:"inject" ~hist:"injection_exec_ns" ~args "exec" @@ fun () ->
@@ -181,29 +177,6 @@ let reexecute_loop config (target : Target.t) tree =
   done;
   (List.rev !records, !executions)
 
-(* Inject in the order given by [order] (failure-point ordinals), then sweep
-   any leaves the priority list missed (or that were not reached by their
-   targeted execution) with the standard loop. Returns records in injection
-   order. *)
-let reexecute_priority config (target : Target.t) tree order =
-  let by_ordinal = Hashtbl.create 64 in
-  Fp_tree.iter tree (fun p -> Hashtbl.replace by_ordinal p.Fp_tree.ordinal p);
-  let records = ref [] and executions = ref 0 in
-  List.iter
-    (fun ordinal ->
-      match Hashtbl.find_opt by_ordinal ordinal with
-      | Some p when not p.Fp_tree.visited -> (
-          incr executions;
-          match reexecute ~ordinal config target tree with
-          | None ->
-              (* nondeterminism: the point was not reached this run *)
-              Telemetry.Collector.count "fp.unreached" 1
-          | Some (point, image) -> records := judge config target point image :: !records)
-      | Some _ | None -> ())
-    order;
-  let stragglers, extra = reexecute_loop config target tree in
-  (List.rev !records @ stragglers, !executions + extra)
-
 let member_of keys =
   let set = Hashtbl.create (max 16 (List.length keys)) in
   List.iter (fun k -> Hashtbl.replace set k ()) keys;
@@ -213,23 +186,14 @@ let member_of keys =
 let on_workers jobs work =
   List.map Domain.join (List.init jobs (fun w -> Domain.spawn (fun () -> Metrics.measure (work w))))
 
-let ordinals_of records = List.map (fun r -> r.point.Fp_tree.ordinal) records
-
 (* The deterministic-merge rule: reports are ordered by failure-point
    discovery ordinal, so the result is identical regardless of how the
    leaves were scheduled over workers. *)
 let sort_records =
   List.sort (fun a b -> compare a.point.Fp_tree.ordinal b.point.Fp_tree.ordinal)
 
-(* A result from records given in injection order. *)
 let result_of tree ~executions ?(worker_metrics = []) records =
-  {
-    tree;
-    records = sort_records records;
-    executions;
-    injection_order = ordinals_of records;
-    worker_metrics;
-  }
+  { tree; records = sort_records records; executions; worker_metrics }
 
 (* Each worker owns a private copy of the tree (rebuilt from the serialized
    form, which preserves ordinals) with every leaf outside its round-robin
@@ -237,37 +201,14 @@ let result_of tree ~executions ?(worker_metrics = []) records =
    assignment. Workers share no mutable state: each execution creates its
    own device and tracer, and the ambient framer/transaction state is
    domain-local. *)
-let inject_parallel ?priority ?(skip = []) config (target : Target.t) tree ~jobs =
+let inject_parallel config (target : Target.t) tree ~jobs =
   let serialized = Fp_tree.serialize tree in
-  (* Without a priority, leaves are partitioned round-robin by ordinal.
-     With one, they are partitioned round-robin by *rank* in the priority
-     order, so every worker starts on high-priority points. *)
-  let shares =
-    match priority with
-    | None -> None
-    | Some order ->
-        Some
-          (List.init jobs (fun w ->
-               List.filteri (fun rank _ -> rank mod jobs = w) order))
-  in
-  let skipped = member_of skip in
   let results =
     on_workers jobs (fun w () ->
         let local = Fp_tree.deserialize serialized in
-        (* Serialization does not carry visit state: pruned leaves must be
-           re-marked on each worker's private tree. *)
-        Fp_tree.iter local (fun p -> if skipped p.Fp_tree.ordinal then p.Fp_tree.visited <- true);
-        match shares with
-        | None ->
-            Fp_tree.iter local (fun p ->
-                if p.Fp_tree.ordinal mod jobs <> w then p.Fp_tree.visited <- true);
-            reexecute_loop config target local
-        | Some shares ->
-            let mine = List.nth shares w in
-            let is_mine = member_of mine in
-            Fp_tree.iter local (fun p ->
-                if not (is_mine p.Fp_tree.ordinal) then p.Fp_tree.visited <- true);
-            reexecute_priority config target local mine)
+        Fp_tree.iter local (fun p ->
+            if p.Fp_tree.ordinal mod jobs <> w then p.Fp_tree.visited <- true);
+        reexecute_loop config target local)
   in
   let worker_metrics = List.map snd results in
   (* Re-anchor worker records on the master tree's points (the worker trees
@@ -286,13 +227,7 @@ let inject_parallel ?priority ?(skip = []) config (target : Target.t) tree ~jobs
       results
   in
   let executions = List.fold_left (fun acc ((_, e), _) -> acc + e) 0 results in
-  (* The logical injection order of the merged schedule: priority rank when
-     prioritized (each worker drains its share in rank order), discovery
-     ordinal otherwise. *)
-  let r = result_of tree ~executions ~worker_metrics records in
-  match priority with
-  | Some order -> { r with injection_order = List.filter (member_of r.injection_order) order }
-  | None -> { r with injection_order = List.sort compare r.injection_order }
+  result_of tree ~executions ~worker_metrics records
 
 (** The paper's injection loop: re-execute the workload until every leaf of
     the tree is visited, injecting one fault per execution (steps 6-9 of
@@ -300,38 +235,24 @@ let inject_parallel ?priority ?(skip = []) config (target : Target.t) tree ~jobs
     that many worker domains — each fault injection is an independent
     re-execution, so the leaves are partitioned round-robin by ordinal and
     the per-worker records merged back in ordinal order, making the result
-    byte-for-byte identical to the sequential schedule. [skip] lists the
-    ordinals of failure points proven safe offline ({!Analysis.Prune}):
-    they are marked visited up front and never injected. *)
-let inject_reexecute ?priority ?(skip = []) config (target : Target.t) tree =
-  let skipped = member_of skip in
-  Fp_tree.iter tree (fun p -> if skipped p.Fp_tree.ordinal then p.Fp_tree.visited <- true);
+    byte-for-byte identical to the sequential schedule. *)
+let inject_reexecute config (target : Target.t) tree =
   (* never spawn more domains than there are leaves to inject *)
   let jobs = max 1 (min config.Config.jobs (max 1 (Fp_tree.size tree))) in
   if jobs = 1 then
-    let records, executions =
-      match priority with
-      | None -> reexecute_loop config target tree
-      | Some order -> reexecute_priority config target tree order
-    in
+    let records, executions = reexecute_loop config target tree in
     result_of tree ~executions records
-  else inject_parallel ?priority ~skip config target tree ~jobs
+  else inject_parallel config target tree ~jobs
 
 (** Replay-first injection ([Config.Replay], the default): rebuild the
     failure-point tree offline from the shared recording, materialize every
     point's crash image in one batched prefix-incremental replay pass per
     worker ({!Pmtrace.Replay.materialize}), and stream the recovery oracle
     over the images — no image is ever retained and the target is never
-    re-executed on the replayed path. [nominees] lists the ordinals the
-    abstract fixpoint proved safe ({!Analysis.Prune}): a nominee whose
-    oracle outcome is [Consistent] is {e confirmed} — its record, known to
-    contribute no finding, is elided. This is the prune confirmation under
-    this strategy: every point's oracle outcome is computed anyway, so
-    pruning costs nothing extra. Points the replay pass cannot reach
+    re-executed on the replayed path. Points the replay pass cannot reach
     (nondeterminism with respect to the recording) fall back to one live
-    targeted re-execution each. Returns the injection result plus the
-    confirmed ordinals (sorted). *)
-let inject_replay ?(nominees = []) config (target : Target.t) ~recording ~points =
+    targeted re-execution each. *)
+let inject_replay config (target : Target.t) ~recording ~points =
   (* Re-inserting the captures in discovery order reproduces the ordinals
      [offline_points] reported — the same ordinals a live [build_tree]
      assigns on this deterministic workload. *)
@@ -390,16 +311,8 @@ let inject_replay ?(nominees = []) config (target : Target.t) ~recording ~points
       | Some (point, image) ->
           fallback_records := judge config target point image :: !fallback_records)
     (List.sort compare unreached);
-  let all = replayed @ List.rev !fallback_records in
-  let nominated = member_of nominees in
-  let confirmed r =
-    match r.oracle with
-    | Oracle.Consistent -> nominated r.point.Fp_tree.ordinal
-    | Oracle.Unrecoverable _ | Oracle.Crashed _ -> false
-  in
-  ( result_of tree ~executions:!fallback_execs ~worker_metrics
-      (sort_records (List.filter (fun r -> not (confirmed r)) all)),
-    List.sort compare (ordinals_of (List.filter confirmed all)) )
+  result_of tree ~executions:!fallback_execs ~worker_metrics
+    (replayed @ List.rev !fallback_records)
 
 (** Simulator-only optimisation ([Config.Snapshot]): a single execution in
     which each new failure point immediately snapshots its crash image and
@@ -433,13 +346,12 @@ let inject_snapshot ?(extra_listener = fun _ _ -> ()) config (target : Target.t)
 
 let bug_records result = List.filter (fun r -> Oracle.is_bug r.oracle) result.records
 
-(** 1-based position in {!result.injection_order} of the first injection
-    whose oracle flagged a bug, or [None] when no injection found one — the
-    time-to-first-bug metric of the [bench prioritized] experiment. *)
+(** 1-based position, in failure-point discovery order, of the first
+    injection whose oracle flagged a bug, or [None] when no injection found
+    one. *)
 let injections_to_first_bug result =
-  let is_bug = member_of (ordinals_of (bug_records result)) in
   let rec scan i = function
     | [] -> None
-    | o :: rest -> if is_bug o then Some i else scan (i + 1) rest
+    | r :: rest -> if Oracle.is_bug r.oracle then Some i else scan (i + 1) rest
   in
-  scan 1 result.injection_order
+  scan 1 result.records

@@ -25,15 +25,12 @@ let read_i64 t ~off = Pmem.Device.load_i64 t.dev ~addr:off
 let write_i64 t ~off v = Pmem.Device.store_i64 t.dev ~addr:off v
 let read_bytes t ~off ~len = Pmem.Device.load t.dev ~addr:off ~size:len
 let write_bytes t ~off b = Pmem.Device.store t.dev ~addr:off b
-let write_bytes_nt t ~off b = Pmem.Device.store_nt t.dev ~addr:off b
 let read_u8 t ~off = Char.code (Bytes.get (read_bytes t ~off ~len:1) 0)
 let write_u8 t ~off v = write_bytes t ~off (Bytes.make 1 (Char.chr (v land 0xff)))
 
 (** {1 Persistency primitives} *)
 
 let flush t ~off ~size = Pmem.Device.flush_range t.dev ~kind:Pmem.Op.Clwb ~addr:off ~size
-let flush_invalidating t ~off ~size =
-  Pmem.Device.flush_range t.dev ~kind:Pmem.Op.Clflushopt ~addr:off ~size
 let drain t = Pmem.Device.sfence t.dev
 
 (** [persist t ~off ~size] = flush + drain: the everyday "make this range

@@ -45,7 +45,6 @@ val read_i64 : t -> off:int -> int64
 val write_i64 : t -> off:int -> int64 -> unit
 val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit
-val write_bytes_nt : t -> off:int -> bytes -> unit
 val read_u8 : t -> off:int -> int
 val write_u8 : t -> off:int -> int -> unit
 
@@ -53,9 +52,6 @@ val write_u8 : t -> off:int -> int -> unit
 
 val flush : t -> off:int -> size:int -> unit
 (** Write back ([clwb]) every line of the range, without draining. *)
-
-val flush_invalidating : t -> off:int -> size:int -> unit
-(** [clflushopt] variant of {!flush}. *)
 
 val drain : t -> unit
 (** [sfence]: make every pending flush durable. *)

@@ -20,7 +20,6 @@ type t = {
   ids : (string list, int) Hashtbl.t; (* call path -> interning index *)
   mutable paths : string list array; (* interning index -> call path *)
   mutable npaths : int;
-  mutable path_words : int; (* resident size of the interned paths *)
 }
 
 let alloc cap = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (cap * slots)
@@ -32,7 +31,6 @@ let create ?(capacity = 256) () =
     ids = Hashtbl.create 64;
     paths = Array.make 16 [];
     npaths = 0;
-    path_words = 0;
   }
 
 let length t = t.len
@@ -63,10 +61,6 @@ let intern t path =
       t.paths.(id) <- path;
       t.npaths <- id + 1;
       Hashtbl.replace t.ids path id;
-      (* 3 words per list cell + header/content words per string *)
-      t.path_words <-
-        t.path_words
-        + List.fold_left (fun acc s -> acc + 3 + 2 + ((String.length s + 7) / 8)) 0 path;
       id
 
 let ensure_capacity t =
@@ -152,7 +146,6 @@ let to_list t = List.rev (fold t [] (fun acc e -> e :: acc))
 let clear t = t.len <- 0
 let path_count t = t.npaths
 let path_id t path = Hashtbl.find_opt t.ids path
-let words t = (t.len * slots) + t.path_words
 
 module Slab = struct
   type slab = {

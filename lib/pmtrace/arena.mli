@@ -49,10 +49,6 @@ val path_id : t -> string list -> int option
 (** The interning index of a path, if it has been seen. Stable: once
     assigned, a path's id never changes. *)
 
-val words : t -> int
-(** Approximate resident size in words: packed storage plus interned path
-    storage — the arena analogue of the old 13-words-per-event estimate. *)
-
 (** Payload slab: store payload bytes appended to one growing buffer,
     indexed by event seq. *)
 module Slab : sig

@@ -19,11 +19,6 @@ let fold t init f = Arena.fold t init f
 let to_list t = Arena.to_list t
 let arena t = t
 
-(** Approximate resident size of the trace in words, for the Table 2
-    resource accounting: the packed arena storage plus interned paths
-    (formerly ~13 boxed words per event). *)
-let approx_size_words t = Arena.words t
-
 (* ------------------------------------------------------------------ *)
 (* Serialization: the analogue of the trace file the original Mumak    *)
 (* writes between the tracing and analysis processes. One line per     *)

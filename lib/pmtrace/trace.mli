@@ -25,10 +25,6 @@ val to_list : t -> Event.t list
 val arena : t -> Arena.t
 (** The packed backing store (a zero-copy view, shared with the trace). *)
 
-val approx_size_words : t -> int
-(** Approximate resident size of the trace in words, for the Table 2
-    resource accounting. *)
-
 val serialize : t -> string
 (** [serialize t] renders the trace, one event per line, in execution
     order — the analogue of the trace file the original Mumak writes

@@ -81,8 +81,14 @@ let load_run t id =
           (Printf.sprintf "ambiguous run prefix %S (%d matches)" id
              (List.length several))
 
+(** Every run in the ledger, in id order. A record that fails to parse is
+    an error naming its file, never a silently shorter ledger. *)
 let load_all t =
-  List.filter_map (fun id -> Result.to_option (load_file (run_path t id))) (run_ids t)
+  List.fold_left
+    (fun acc id ->
+      Result.bind acc (fun runs -> Result.map (fun r -> r :: runs) (load_file (run_path t id))))
+    (Ok []) (run_ids t)
+  |> Result.map List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Bench envelopes                                                     *)

@@ -7,14 +7,12 @@
    every seeded bug in the application, pmalloc and Montage registries
    (the full 33-bug matrix) and for the clean suite, [Replay jobs=1],
    [Replay jobs=4], [Reexecute] and [Snapshot] must produce byte-identical
-   report signatures, identical failure-point and injection counts — and
-   the replay runs must cost exactly one target execution (any live
-   fallback would show up in the count).
+   report signatures, identical failure-point and injection counts and the
+   same first-bug injection — and the replay runs must cost exactly one
+   target execution (any live fallback would show up in the count).
 
-   Layer 2 — the prune interaction: with [--absint --prune], the pruned
-   replay engine at jobs=1 and jobs=4 must reproduce the unpruned replay
-   signature, the re-execution signature, and skip exactly the confirmed
-   nominations.
+   Layer 2 — the absint interaction: with [--absint] on, the replay
+   engine must reproduce the re-execution report signature.
 
    Layer 3 — qcheck properties for the arena representation: pack/unpack
    round-trip, interning stability (decoded equal paths are physically
@@ -78,6 +76,9 @@ let differential ~bugs name make_target =
           Alcotest.(check int)
             (Printf.sprintf "%s: %s injections" name label)
             base.Mumak.Engine.injections r.Mumak.Engine.injections;
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: %s first bug injection" name label)
+            base.Mumak.Engine.first_bug_injection r.Mumak.Engine.first_bug_injection;
           Alcotest.(check (list string))
             (Printf.sprintf "%s: %s report signature" name label)
             (Mumak.Report.signature base.Mumak.Engine.report)
@@ -131,62 +132,23 @@ let test_clean_targets () =
     (differential ~bugs:[] "pmemkv.cmap" (fun () ->
          Targets.of_pmemkv ~engine:Kvstores.Pmemkv.Cmap ~workload:(wl ~ops:40 ()) ()))
 
-(* --- layer 2: absint + prune on the replay substrate --- *)
+(* --- layer 2: absint on the replay substrate --- *)
 
-let replay_cfg jobs = { Mumak.Config.default with Mumak.Config.jobs }
-let unpruned jobs = { (replay_cfg jobs) with Mumak.Config.absint = true }
-let pruned jobs = { (unpruned jobs) with Mumak.Config.prune = true }
-
-let reexec_unpruned =
-  {
-    Mumak.Config.default with
-    Mumak.Config.strategy = Mumak.Config.Reexecute;
-    absint = true;
-  }
-
-let plan_of (r : Mumak.Engine.result) =
-  match r.Mumak.Engine.absint with
-  | Some { Mumak.Engine.prune = Some plan; _ } -> plan
-  | _ -> Alcotest.fail "pruned run carries no prune plan"
-
-let prune_differential name make_target =
-  let base = Mumak.Engine.analyze ~config:(unpruned 1) (make_target ()) in
-  (* the same analysis on the live substrate: replay changes nothing *)
-  let live = Mumak.Engine.analyze ~config:reexec_unpruned (make_target ()) in
+let absint_differential name make_target =
+  let analyze strategy =
+    let config = { Mumak.Config.default with Mumak.Config.strategy; absint = true } in
+    Mumak.Engine.analyze ~config (make_target ())
+  in
+  let replayed = analyze Mumak.Config.Replay and live = analyze Mumak.Config.Reexecute in
   Alcotest.(check (list string))
     (name ^ ": replay and re-execution absint signatures")
     (Mumak.Report.signature live.Mumak.Engine.report)
-    (Mumak.Report.signature base.Mumak.Engine.report);
-  List.iter
-    (fun jobs ->
-      let r = Mumak.Engine.analyze ~config:(pruned jobs) (make_target ()) in
-      let plan = plan_of r in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: pruned replay j=%d report signature" name jobs)
-        (Mumak.Report.signature base.Mumak.Engine.report)
-        (Mumak.Report.signature r.Mumak.Engine.report);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: pruned replay j=%d failure points" name jobs)
-        base.Mumak.Engine.failure_points r.Mumak.Engine.failure_points;
-      (* under replay the confirmation is folded into injection: confirmed
-         nominees' records are elided, so the injection count drops by
-         exactly the skip set *)
-      Alcotest.(check int)
-        (Printf.sprintf "%s: pruned replay j=%d skips exactly the plan" name jobs)
-        (base.Mumak.Engine.injections - List.length plan.Analysis.Prune.skip)
-        r.Mumak.Engine.injections;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: pruned replay j=%d plan is consistent" name jobs)
-        true
-        (plan.Analysis.Prune.confirmed + plan.Analysis.Prune.rejected
-         = plan.Analysis.Prune.proven
-        && List.length plan.Analysis.Prune.skip = plan.Analysis.Prune.confirmed))
-    [ 1; 4 ]
+    (Mumak.Report.signature replayed.Mumak.Engine.report)
 
-let test_prune_clean () =
-  List.iter (fun name -> prune_differential name (target_for name)) [ "wort"; "btree" ]
+let test_absint_clean () =
+  List.iter (fun name -> absint_differential name (target_for name)) [ "wort"; "btree" ]
 
-let test_prune_seeded () =
+let test_absint_seeded () =
   List.iter
     (fun id ->
       Bugreg.with_enabled [ id ] (fun () ->
@@ -195,7 +157,7 @@ let test_prune_seeded () =
             | Some b -> b.Bugreg.component
             | None -> Alcotest.failf "unknown bug %s" id
           in
-          prune_differential id (target_for component)))
+          absint_differential id (target_for component)))
     [ "btree_insert_no_tx"; "level_hash_token_before_kv"; "hm_atomic_count_never_flushed" ]
 
 (* --- layer 3: arena properties --- *)
@@ -418,10 +380,11 @@ let () =
             test_seeded_bugs_detected;
           Alcotest.test_case "clean targets, four engines" `Slow test_clean_targets;
         ] );
+      (* the group keeps the name its results are recorded under *)
       ( "absint-prune",
         [
-          Alcotest.test_case "clean targets" `Slow test_prune_clean;
-          Alcotest.test_case "seeded bugs" `Slow test_prune_seeded;
+          Alcotest.test_case "clean targets" `Slow test_absint_clean;
+          Alcotest.test_case "seeded bugs" `Slow test_absint_seeded;
         ] );
       qsuite "arena" arena_tests;
     ]

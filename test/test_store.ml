@@ -202,6 +202,30 @@ let test_ledger_append_load () =
   | Ok _ -> Alcotest.fail "made-up id should not resolve"
   | Error _ -> ()
 
+(* A truncated run record must surface as an error naming its file: read
+   as a shorter ledger, it would make `mumak query` report no runs. *)
+let test_ledger_truncated_record () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mumak-store-test-%d-truncated" (Unix.getpid ()))
+  in
+  let ledger = Store.Ledger.open_ ~dir () in
+  let id = Store.Ledger.append_run ledger (run_recorded "hashmap_atomic") in
+  (match Store.Ledger.load_all ledger with
+  | Ok runs -> Alcotest.(check int) "intact ledger loads its one run" 1 (List.length runs)
+  | Error msg -> Alcotest.failf "intact ledger failed to load: %s" msg);
+  let path = Store.Ledger.run_path ledger id in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub text 0 (String.length text / 2)));
+  match Store.Ledger.load_all ledger with
+  | Ok runs -> Alcotest.failf "truncated record read as a ledger of %d run(s)" (List.length runs)
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names the file" msg)
+        true
+        (String.starts_with ~prefix:path msg)
+
 (* --- diff algebra ---------------------------------------------------- *)
 
 let signatures fs = List.map (fun f -> f.Store.Record.f_signature) fs
@@ -420,6 +444,8 @@ let () =
       ( "ledger",
         [
           Alcotest.test_case "append/load by id and prefix" `Quick test_ledger_append_load;
+          Alcotest.test_case "truncated run record is an error" `Quick
+            test_ledger_truncated_record;
           Alcotest.test_case "bench history round-trips" `Quick
             test_bench_history_roundtrip;
         ] );
